@@ -42,7 +42,10 @@ class BraidWord:
         for tok in text.split():
             if "^" in tok:
                 base, exp = tok.split("^", 1)
-                e = int(exp)
+                try:
+                    e = int(exp)
+                except ValueError:
+                    raise CoxeterError(f"bad exponent in {tok!r}") from None
             else:
                 base, e = tok, 1
             if base not in system.labels:

@@ -196,7 +196,9 @@ def cmd_verify_embedding(args) -> int:
 
 def cmd_cocycle(args) -> int:
     system = _system(args.type)
-    if args.v is not None and args.w is not None:
+    if (args.v is None) != (args.w is None):
+        raise UsageError("give both --v and --w, or neither")
+    if args.v is not None:
         v = system.normal_form(system.parse_word(args.v))
         w = system.normal_form(system.parse_word(args.w))
         value = cocycle(v, w)

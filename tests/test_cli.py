@@ -118,3 +118,22 @@ def test_usage_errors(capsys):
     assert code == 2
     assert main(["no-such-command"]) == 2
     assert main([]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["nmap", "--type", "A3", "--word", "s1^x"],
+    ["nmap", "--type", "A3", "--word", "s1^"],
+    ["nmap", "--type", "A3", "--word", "s9"],
+    ["nmap", "--type", "Z9", "--word", "s1"],
+    ["cocycle", "--type", "A3", "--v", "s1"],
+    ["cocycle", "--type", "A3", "--w", "s1"],
+    ["cocycle", "--type", "A3", "--v", "s9", "--w", "s1"],
+    ["admissible", "--type", "A3", "--set", "s9"],
+    ["present", "--type", "A2", "--I", "s9"],
+    ["present", "--type", "Atilde2"],
+    ["no-such-command"],
+], ids=" ".join)
+def test_malformed_input_exits_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "error" in err

@@ -1,4 +1,9 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +14,7 @@ from golden_tables import (
     golden_B,
     golden_I2,
 )
+import purebraid
 from purebraid.braid import BraidWord, lift
 from purebraid.coxeter import (
     CoxeterError,
@@ -140,7 +146,19 @@ def test_closed_forms_equal_raw_rewriting(name, I):
 ])
 def test_relations_hold_under_eval_Np(name, I):
     p = presentation_DI(named_system(name), I)
-    assert soundness_report(p)["passed"]
+    report = soundness_report(p)
+    assert report["passed"] and report["certificate"] == "mod D(P_W)"
+
+
+@pytest.mark.xfail(strict=True, reason="(N, p) sees B_W only modulo D(P_W); "
+                   "needs exact equality in B_W")
+def test_soundness_rejects_false_pure_commutation():
+    # s1^2 and s2^2 generate a free subgroup of P_3, so they do not commute
+    system = named_system("A2")
+    a1, a2 = ("a", (), 0), ("a", (), 1)
+    p = Presentation(system, (), [a1, a2], [(((a1, 1), (a2, 1)),
+                                            ((a2, 1), (a1, 1)))])
+    assert not soundness_report(p)["passed"]
 
 
 @pytest.mark.parametrize("name,I", [
@@ -152,7 +170,10 @@ def test_semidirect_split(name, I):
 
 
 def test_abelianization_of_pure_presentations():
-    for name, rank in (("A2", 3), ("B2", 4), ("I2(5)", 5)):
+    # the abelianization of P_W is Z^|T|
+    for name, rank in (("A2", 3), ("B2", 4), ("I2(5)", 5), ("A3", 6),
+                       ("A4", 10), ("B3", 9), ("H3", 15), ("D4", 12),
+                       ("B4", 16)):
         p = presentation_pure(named_system(name))
         result = abelianization(p)
         assert result == {"free_rank": rank, "torsion": []}
@@ -161,7 +182,101 @@ def test_abelianization_of_pure_presentations():
 def test_abelianization_empty_relations():
     system = named_system("A2")
     p = Presentation(system, (), [("a", (), 0)], [])
-    assert abelianization(p)["free_rank"] == 1
+    assert abelianization(p) == {"free_rank": 1, "torsion": []}
+
+
+def _matrix_presentation(matrix, ncols):
+    """A presentation whose relation matrix is `matrix`: row k reads
+    g_0^{x_0} ... g_{n-1}^{x_{n-1}} = 1."""
+    gens = [("a", (), k) for k in range(ncols)]
+    rels = [(tuple((gens[k], 1 if x > 0 else -1)
+                   for k, x in enumerate(row) for _ in range(abs(x))), ())
+            for row in matrix]
+    return Presentation(named_system("A2"), (), gens, rels)
+
+
+@pytest.mark.parametrize("matrix,ncols,expected", [
+    ([[2]], 1, {"free_rank": 0, "torsion": [2]}),             # <a | a^2>
+    ([[2, 4], [-2, 2]], 2, {"free_rank": 0, "torsion": [2, 6]}),
+    ([[0, 0], [1, -1]], 2, {"free_rank": 1, "torsion": []}),  # u = u
+    ([], 3, {"free_rank": 3, "torsion": []}),
+    # no +-1 entry: Euclid (4, 6) and the divisibility fix-up diag(2, 3)
+    ([[4, 6, 0]], 3, {"free_rank": 2, "torsion": [2]}),
+    ([[2, 0], [0, 3]], 2, {"free_rank": 0, "torsion": [6]}),
+    # a unit pivot first, then a remainder without units
+    ([[1, 2, 3], [0, 4, 6], [0, 6, 4]], 3, {"free_rank": 0, "torsion": [2, 10]}),
+], ids=["a^2", "2-6", "zero-row", "no-relations", "euclid", "fix-up", "mixed"])
+def test_abelianization_small_matrices(matrix, ncols, expected):
+    assert abelianization(_matrix_presentation(matrix, ncols)) == expected
+
+
+def _sympy_abelianization(p):
+    from sympy import ZZ, Matrix
+    from sympy.matrices.normalforms import smith_normal_form
+
+    index = {g: k for k, g in enumerate(p.generators)}
+    rows = []
+    for u, v in p.relations:
+        row = [0] * len(p.generators)
+        for sym, e in u:
+            row[index[sym]] += e
+        for sym, e in v:
+            row[index[sym]] -= e
+        rows.append(row)
+    if not rows:
+        return {"free_rank": len(p.generators), "torsion": []}
+    snf = smith_normal_form(Matrix(rows), domain=ZZ)
+    diag = [abs(int(snf[i, i])) for i in range(min(snf.rows, snf.cols))]
+    nonzero = [d for d in diag if d]
+    return {"free_rank": len(p.generators) - len(nonzero),
+            "torsion": [d for d in nonzero if d != 1]}
+
+
+@pytest.mark.parametrize("name", ["A2", "A3", "A4", "B2", "B3", "H3", "D4",
+                                  "I2(5)", "I2(6)"])
+def test_abelianization_matches_sympy_on_presentations(name):
+    pytest.importorskip("sympy")
+    system = named_system(name)
+    presentations = [presentation_pure(system)] + [
+        presentation_DI(system, I)
+        for I in [()] + [(s,) for s in range(system.rank)]]
+    for p in presentations:
+        assert abelianization(p) == _sympy_abelianization(p)
+
+
+def test_abelianization_matches_sympy_on_random_matrices():
+    pytest.importorskip("sympy")
+    rng = random.Random(7)
+    with_torsion = 0
+    for _ in range(300):
+        nrows, ncols = rng.randint(1, 5), rng.randint(1, 5)
+        matrix = [[rng.choice((0, 0, 1, -1, 2, -2, 3, 4, -6, 9))
+                   for _ in range(ncols)] for _ in range(nrows)]
+        p = _matrix_presentation(matrix, ncols)
+        expected = _sympy_abelianization(p)
+        assert abelianization(p) == expected
+        with_torsion += bool(expected["torsion"])
+    assert with_torsion >= 30
+
+
+def test_abelianization_and_cli_run_without_sympy():
+    # sys.modules[name] = None makes every import of sympy raise ImportError
+    script = textwrap.dedent("""
+        import sys
+        sys.modules["sympy"] = None
+        from purebraid import cli
+        from purebraid.coxeter import named_system
+        from purebraid.schreier import abelianization, presentation_pure
+        ab = abelianization(presentation_pure(named_system("D4")))
+        assert ab == {"free_rank": 12, "torsion": []}, ab
+        sys.exit(cli.main(["pure-present", "--type", "A3"]))
+    """)
+    src = str(Path(purebraid.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert '"generators"' in done.stdout
 
 
 # -- devissage -----------------------------------------------------------
