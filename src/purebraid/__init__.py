@@ -7,7 +7,6 @@ from .coxeter import (
     CoxeterError,
     CoxeterSystem,
     Reflection,
-    UndecidedError,
     conjugate_reflection,
     coset_rep,
     exchange_witness,
@@ -18,7 +17,6 @@ from .coxeter import (
     named_system,
     palindromize,
     reflections,
-    validate_system,
 )
 from .braid import BraidWord, alternating_word, is_reduced_lift, left_divides, lift
 from .nmap import (

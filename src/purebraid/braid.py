@@ -12,6 +12,10 @@ from __future__ import annotations
 from typing import Iterable, Tuple
 
 from .coxeter import CoxElem, CoxeterError, CoxeterSystem, _alt
+from .freeword import free_reduce
+
+# longest word, in letters after expanding the exponents, that parse accepts
+MAX_PARSED_LETTERS = 10 ** 6
 
 
 class BraidWord:
@@ -53,6 +57,8 @@ class BraidWord:
             s = system.labels.index(base)
             if e == 0:
                 continue
+            if len(letters) + abs(e) > MAX_PARSED_LETTERS:
+                raise CoxeterError(f"word longer than {MAX_PARSED_LETTERS} letters")
             sign = 1 if e > 0 else -1
             letters.extend([(s, sign)] * abs(e))
         return cls(system, letters)
@@ -85,13 +91,7 @@ class BraidWord:
         return out
 
     def free_reduce(self) -> "BraidWord":
-        out = []
-        for s, e in self.letters:
-            if out and out[-1] == (s, -e):
-                out.pop()
-            else:
-                out.append((s, e))
-        return BraidWord(self.system, out)
+        return BraidWord(self.system, free_reduce(self.letters))
 
     def __str__(self):
         if not self.letters:

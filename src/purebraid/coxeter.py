@@ -8,6 +8,11 @@ adjacent equal letters.  This is correct for every Coxeter system, including
 infinite bonds and non-crystallographic types, at the price of an exponential
 worst case that is acceptable at the scale handled here; braid-move classes
 are memoized per system.
+
+Finiteness is decided exactly from the Coxeter graph by the classification
+of the finite Coxeter groups (Coxeter 1935; Humphreys, Reflection Groups and
+Coxeter Groups, 2.7): W is finite iff every connected component of its graph
+is of type A_n, B_n, D_n, E_6..E_8, F_4, H_3, H_4 or I_2(m).
 """
 
 from __future__ import annotations
@@ -19,15 +24,6 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 class CoxeterError(ValueError):
     pass
-
-
-class UndecidedError(CoxeterError):
-    """Raised when bounded closure hits its cap before deciding finiteness."""
-
-
-# default caps for the bounded-closure fallback of finiteness detection
-DEFAULT_LENGTH_CAP = 20
-DEFAULT_ELEMENT_CAP = 10 ** 6
 
 
 def _alt(s: int, t: int, length: int) -> tuple:
@@ -42,7 +38,7 @@ class CoxeterSystem:
     {2, 3, ...} or None (infinite bond) off the diagonal.
     """
 
-    def __init__(self, matrix, labels=None, name=None, finite=None):
+    def __init__(self, matrix, labels=None, name=None):
         matrix = tuple(tuple(row) for row in matrix)
         n = len(matrix)
         if n == 0:
@@ -65,7 +61,6 @@ class CoxeterSystem:
         if len(self.labels) != n:
             raise CoxeterError("wrong number of labels")
         self.name = name
-        self._finite = finite  # None = unknown, decided lazily by bounded closure
         self._class_cache: dict = {}
         self._identity = CoxElem(self, ())
 
@@ -192,30 +187,69 @@ class CoxeterSystem:
             raise CoxeterError("system is not finite")
         return list(self.enumerate_elements())
 
-    def is_finite(self, length_cap=DEFAULT_LENGTH_CAP, element_cap=DEFAULT_ELEMENT_CAP) -> bool:
-        if self._finite is None:
-            self._finite = self._closure_is_finite(length_cap, element_cap)
-        return self._finite
+    def is_finite(self) -> bool:
+        """Exact, read off the Coxeter graph (see the module docstring)."""
+        return _graph_is_finite(self.matrix, range(self.rank))
 
-    def _closure_is_finite(self, length_cap, element_cap) -> bool:
-        level = [()]
-        length = 0
-        count = 0
-        while level:
-            count += len(level)
-            if count > element_cap:
-                raise UndecidedError(f"element cap {element_cap} exceeded")
-            if length > length_cap:
-                raise UndecidedError(f"length cap {length_cap} reached without closure")
-            nxt = set()
-            for w in level:
-                for s in range(self.rank):
-                    prod = self._mult_gen(w, s)
-                    if len(prod) == len(w) + 1:
-                        nxt.add(prod)
-            level = sorted(nxt)
-            length += 1
+
+def _graph_is_finite(matrix, nodes: Iterable[int]) -> bool:
+    """Whether the Coxeter graph of `matrix` restricted to `nodes` has only
+    components of finite type (see the module docstring)."""
+    nodes = set(nodes)
+    adj = {v: {w: matrix[v][w] for w in nodes if w != v and matrix[v][w] != 2}
+           for v in nodes}
+    if any(m is None for bonds in adj.values() for m in bonds.values()):
+        return False
+    while nodes:
+        component = [nodes.pop()]
+        for v in component:
+            new = adj[v].keys() & nodes
+            nodes -= new
+            component.extend(new)
+        if not _component_is_finite(component, adj):
+            return False
+    return True
+
+
+def _component_is_finite(component: list, adj: dict) -> bool:
+    n = len(component)
+    if n <= 2:
         return True
+    degree = {v: len(adj[v]) for v in component}
+    if sum(degree.values()) != 2 * (n - 1) or max(degree.values()) > 3:
+        return False  # a cycle or a node of degree >= 4
+    branches = [v for v in component if degree[v] == 3]
+    if not branches:
+        # a path: read its bonds from one end to the other
+        v = next(v for v in component if degree[v] == 1)
+        bonds, prev = [], None
+        while len(bonds) < n - 1:
+            w = next(w for w in adj[v] if w != prev)
+            bonds.append(adj[v][w])
+            prev, v = v, w
+        special = [(i, m) for i, m in enumerate(bonds) if m != 3]
+        if not special:
+            return True  # A_n
+        if len(special) > 1:
+            return False
+        (i, m), = special
+        at_end = i in (0, n - 2)
+        return (m == 4 and (at_end or n == 4)   # B_n, F_4
+                or m == 5 and at_end and n <= 4)  # H_3, H_4
+    if len(branches) > 1 or any(m != 3 for w in component for m in adj[w].values()):
+        return False
+    # one branch node with arms of p, q, r nodes (D_n, E_6, E_7, E_8):
+    # finite iff 1/(p+1) + 1/(q+1) + 1/(r+1) > 1
+    center = branches[0]
+    arms = []
+    for v in adj[center]:
+        prev, nodes_in_arm = center, 1
+        while degree[v] == 2:
+            prev, v = v, next(w for w in adj[v] if w != prev)
+            nodes_in_arm += 1
+        arms.append(nodes_in_arm + 1)
+    a, b, c = arms
+    return b * c + a * c + a * b > a * b * c
 
 
 class CoxElem:
@@ -337,22 +371,11 @@ def make_reflection(el: CoxElem) -> Reflection:
 
 
 def reflections(system: CoxeterSystem, max_length: Optional[int] = None) -> list:
-    """All reflections of length <= max_length (all of them if W is finite)."""
-    finite = False
-    if max_length is None:
-        finite = True
-    else:
-        try:
-            finite = system.is_finite()
-        except UndecidedError:
-            finite = False
-    if finite:
-        source = system.enumerate_elements()
-    else:
-        if max_length is None:
-            raise CoxeterError("max_length required for a system not known finite")
-        source = system.enumerate_elements(max_length=max_length)
-    return [make_reflection(el) for el in source if is_reflection(el)]
+    """All reflections of length <= max_length (all of them, W finite, if None)."""
+    if max_length is None and not system.is_finite():
+        raise CoxeterError("max_length required for an infinite system")
+    return [make_reflection(el) for el in system.enumerate_elements(max_length=max_length)
+            if is_reflection(el)]
 
 
 def conjugate_reflection(w: CoxElem, r: Reflection) -> Reflection:
@@ -414,14 +437,8 @@ def subsystem(system: CoxeterSystem, I: Sequence[int]) -> CoxeterSystem:
     return CoxeterSystem(matrix, labels=labels)
 
 
-def is_spherical(system: CoxeterSystem, I: Iterable[int],
-                 length_cap=DEFAULT_LENGTH_CAP, element_cap=DEFAULT_ELEMENT_CAP) -> bool:
-    I = sorted(set(I))
-    if not I:
-        return True
-    if len(I) == system.rank and system._finite is not None:
-        return system._finite
-    return subsystem(system, I).is_finite(length_cap, element_cap)
+def is_spherical(system: CoxeterSystem, I: Iterable[int]) -> bool:
+    return _graph_is_finite(system.matrix, I)
 
 
 def parabolic_elements(system: CoxeterSystem, I: Iterable[int]) -> list:
@@ -479,34 +496,34 @@ def named_system(name: str) -> CoxeterSystem:
         raise CoxeterError(f"unknown system name {name!r}")
     if name == "Atilde2":
         m = [[1, 3, 3], [3, 1, 3], [3, 3, 1]]
-        return CoxeterSystem(m, labels=("r", "s", "t"), name=name, finite=False)
+        return CoxeterSystem(m, labels=("r", "s", "t"), name=name)
     if name.startswith("I2("):
         order = int(match.group(3))
         if order < 2:
             raise CoxeterError("I2(m) needs m >= 2")
         return CoxeterSystem([[1, order], [order, 1]], labels=("s", "t"),
-                             name=name, finite=True)
+                             name=name)
     family, n = match.group(1), int(match.group(2))
     chain = {(i, i + 1): 3 for i in range(n - 1)}
     if family == "A":
         if n < 1:
             raise CoxeterError("A_n needs n >= 1")
-        return CoxeterSystem(_bond_chain(n, chain), name=name, finite=True)
+        return CoxeterSystem(_bond_chain(n, chain), name=name)
     if family == "B":
         if n < 2:
             raise CoxeterError("B_n needs n >= 2")
         chain[(0, 1)] = 4
-        return CoxeterSystem(_bond_chain(n, chain), name=name, finite=True)
+        return CoxeterSystem(_bond_chain(n, chain), name=name)
     if family == "H":
         if n not in (3, 4):
             raise CoxeterError("H_n needs n in {3, 4}")
         chain[(0, 1)] = 5
-        return CoxeterSystem(_bond_chain(n, chain), name=name, finite=True)
+        return CoxeterSystem(_bond_chain(n, chain), name=name)
     if family == "F":
         if n != 4:
             raise CoxeterError("only F4 exists")
         chain[(1, 2)] = 4
-        return CoxeterSystem(_bond_chain(n, chain), name=name, finite=True)
+        return CoxeterSystem(_bond_chain(n, chain), name=name)
     if family == "D":
         # labels s2, s2', s3, ..., sn; both s2 and s2' bond to s3
         if n < 3:
@@ -514,20 +531,15 @@ def named_system(name: str) -> CoxeterSystem:
         labels = ["s2", "s2'"] + [f"s{i}" for i in range(3, n + 1)]
         bonds = {(0, 2): 3, (1, 2): 3}
         bonds.update({(i, i + 1): 3 for i in range(2, n - 1)})
-        return CoxeterSystem(_bond_chain(n, bonds), labels=labels, name=name, finite=True)
+        return CoxeterSystem(_bond_chain(n, bonds), labels=labels, name=name)
     if family == "E":
         if n not in (6, 7, 8):
             raise CoxeterError("E_n needs n in {6, 7, 8}")
         # chain s1..s(n-1) with the branch node s_n attached to the third node
         bonds = {(i, i + 1): 3 for i in range(n - 2)}
         bonds[(2, n - 1)] = 3
-        return CoxeterSystem(_bond_chain(n, bonds), name=name, finite=True)
+        return CoxeterSystem(_bond_chain(n, bonds), name=name)
     raise CoxeterError(f"unknown system name {name!r}")
-
-
-def validate_system(matrix, labels=None) -> CoxeterSystem:
-    """Validate a raw order matrix (errors on asymmetry etc.)."""
-    return CoxeterSystem(matrix, labels=labels)
 
 
 def system_from_json(doc) -> CoxeterSystem:

@@ -14,19 +14,17 @@ finitely checkable ingredient of the injectivity of phi.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .braid import BraidWord
 from .coxeter import CoxeterError
-from .free_actions import (
-    ActionModel,
+from .free_actions import ActionModel, act, action_model, composite_aut
+from .freeword import (
     FreeWord,
-    act,
-    action_model,
-    composite_aut,
     free_reduce,
     free_word_str,
     letter,
+    substitute,
     word_inv,
     word_mul,
 )
@@ -47,6 +45,17 @@ class EmbeddingInstance:
         self.target_system = self.target_model.system
         self.f_basis = self.target_model.basis  # a1..a_{n+1}
         self.fprime_basis = self.source_model.basis  # a1..a_{n+1}, b2..b_{n+1}
+        # image tables of psi and of the changes of basis x_i <-> a_1..a_i
+        self._psi_images = {"a1": letter("a1") * 2}
+        self._to_x = {"a1": letter("x1")}
+        self._from_x = {}
+        for i in range(1, n + 2):
+            self._from_x[f"x{i}"] = word_mul(*[letter(f"a{k}") for k in range(1, i + 1)])
+            if i >= 2:
+                self._psi_images[f"a{i}"] = letter(f"a{i}")
+                self._psi_images[f"b{i}"] = word_mul(self._from_x[f"x{i}"],
+                                                     word_inv(self._from_x[f"x{i-1}"]))
+                self._to_x[f"a{i}"] = word_mul(letter(f"x{i-1}", -1), letter(f"x{i}"))
 
     # -- phi ------------------------------------------------------------
 
@@ -67,40 +76,16 @@ class EmbeddingInstance:
     # -- psi ------------------------------------------------------------
 
     def psi(self, u: FreeWord) -> FreeWord:
-        n = self.n
-        images: Dict[str, FreeWord] = {"a1": letter("a1") * 2}
-        for i in range(2, n + 2):
-            images[f"a{i}"] = letter(f"a{i}")
-            asc = word_mul(*[letter(f"a{k}") for k in range(1, i + 1)])
-            desc = word_mul(*[letter(f"a{k}", -1) for k in range(i - 1, 0, -1)])
-            images[f"b{i}"] = word_mul(asc, desc)
-        out: List[Tuple[str, int]] = []
-        for sym, e in u:
-            img = images[sym]
-            out.extend(img if e == 1 else word_inv(img))
-        return free_reduce(out)
+        return substitute(self._psi_images, u)
 
     # -- x-basis --------------------------------------------------------
 
     def to_x_basis(self, w: FreeWord) -> FreeWord:
         """Rewrite a word over a_i in the basis x_i = a_1..a_i."""
-        out: List[Tuple[str, int]] = []
-        for sym, e in w:
-            i = int(sym[1:])
-            if sym[0] != "a":
-                raise CoxeterError(f"{sym} is not an a-basis symbol")
-            img: FreeWord = letter("x1") if i == 1 else \
-                word_mul(letter(f"x{i-1}", -1), letter(f"x{i}"))
-            out.extend(img if e == 1 else word_inv(img))
-        return free_reduce(out)
+        return substitute(self._to_x, w)
 
     def from_x_basis(self, w: FreeWord) -> FreeWord:
-        out: List[Tuple[str, int]] = []
-        for sym, e in w:
-            i = int(sym[1:])
-            img = word_mul(*[letter(f"a{k}") for k in range(1, i + 1)])
-            out.extend(img if e == 1 else word_inv(img))
-        return free_reduce(out)
+        return substitute(self._from_x, w)
 
     def parity(self, w: FreeWord) -> str:
         return "even" if len(self.to_x_basis(w)) % 2 == 0 else "odd"

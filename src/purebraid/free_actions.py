@@ -1,74 +1,36 @@
 """Free groups, automorphisms given by generator tables, and the conjugation
 action models for the pure-braid levels of types A, B, I2(m) and D.
 
-A free word is a freely reduced tuple of (symbol, +-1).  An ActionModel packs
-a free basis, an acting braid group (one automorphism per Artin generator)
-and the bond orders needed to verify the braid relations.  The type A, B and
-I2 models are free actions; the type D table is a conjugation table only (the
-underlying group is not free), so its s2/s2' commutation is verified modulo
-the known centralizing pairs rather than as a free-word identity.
+Free words and their substitutions come from purebraid.freeword.  An
+ActionModel packs a free basis, an acting braid group (one automorphism per
+Artin generator) and the bond orders needed to verify the braid relations.
+The acting system is the named A_n, or B_n or D_n less its last node; only
+I2(m), whose single acting generator is s, gets a rank-1 system of its own.
+The type A, B and I2 models are free actions; the type D table is a
+conjugation table only (the underlying group is not free), so its s2/s2'
+commutation is verified modulo the known centralizing pairs rather than as a
+free-word identity.
 """
 
 from __future__ import annotations
 
 import random
 from collections import deque
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from .braid import BraidWord, lift
-from .coxeter import CoxeterError, CoxeterSystem, named_system
+from .coxeter import CoxeterError, CoxeterSystem, named_system, subsystem
+from .freeword import (
+    FreeWord,
+    free_reduce,
+    free_word_str,
+    letter,
+    parse_free_word,
+    substitute,
+    word_inv,
+    word_mul,
+)
 from .nmap import eval_N, eval_Np
-
-FreeWord = Tuple[Tuple[str, int], ...]
-
-
-# ---------------------------------------------------------------------------
-# free words
-
-
-def free_reduce(letters: Iterable[Tuple[str, int]]) -> FreeWord:
-    out: List[Tuple[str, int]] = []
-    for sym, e in letters:
-        if e not in (1, -1):
-            raise CoxeterError(f"free letter exponent must be +-1, got {e}")
-        if out and out[-1] == (sym, -e):
-            out.pop()
-        else:
-            out.append((sym, e))
-    return tuple(out)
-
-
-def word_inv(w: FreeWord) -> FreeWord:
-    return tuple((sym, -e) for sym, e in reversed(w))
-
-
-def word_mul(*parts: FreeWord) -> FreeWord:
-    letters: List[Tuple[str, int]] = []
-    for p in parts:
-        letters.extend(p)
-    return free_reduce(letters)
-
-
-def letter(sym: str, e: int = 1) -> FreeWord:
-    return ((sym, e),)
-
-
-def parse_free_word(text: str) -> FreeWord:
-    """Parse "a1 a2^-1 b3" into a free word."""
-    letters = []
-    for tok in text.split():
-        if tok.endswith("^-1"):
-            letters.append((tok[:-3], -1))
-        else:
-            letters.append((tok, 1))
-    return free_reduce(letters)
-
-
-def free_word_str(w: FreeWord) -> str:
-    if not w:
-        return "1"
-    return " ".join(sym + ("" if e == 1 else "^-1") for sym, e in w)
-
 
 # ---------------------------------------------------------------------------
 # automorphisms
@@ -92,11 +54,7 @@ class FreeAut:
         return cls(basis, {})
 
     def apply(self, w: FreeWord) -> FreeWord:
-        out: List[Tuple[str, int]] = []
-        for sym, e in w:
-            img = self.images[sym]
-            out.extend(img if e == 1 else word_inv(img))
-        return free_reduce(out)
+        return substitute(self.images, w)
 
     def __mul__(self, other: "FreeAut") -> "FreeAut":
         """Composition (self after other)."""
@@ -118,14 +76,6 @@ class FreeAut:
         parts = [f"{x} -> {free_word_str(w)}" for x, w in self.images.items()
                  if w != letter(x)]
         return "FreeAut(" + ("; ".join(parts) or "id") + ")"
-
-
-def aut_apply(f: FreeAut, w: FreeWord) -> FreeWord:
-    return f.apply(w)
-
-
-def aut_compose(f: FreeAut, g: FreeAut) -> FreeAut:
-    return f * g
 
 
 def aut_invert(f: FreeAut) -> FreeAut:
@@ -196,16 +146,13 @@ class ActionModel:
     """
 
     def __init__(self, kind: str, size: int, basis: Sequence[str],
-                 system: CoxeterSystem, acting: Sequence[str],
-                 table: Dict[str, FreeAut],
+                 system: CoxeterSystem, table: Dict[str, FreeAut],
                  commutations: Sequence[Tuple[FreeWord, FreeWord]] = ()):
-        if list(acting) != list(system.labels):
-            raise CoxeterError("acting labels must match the acting system")
         self.kind = kind
         self.size = size
         self.basis = tuple(basis)
         self.system = system
-        self.acting = tuple(acting)
+        self.acting = system.labels
         self.table = dict(table)
         self.commutations = tuple(commutations)
         self._inverses: Dict[str, FreeAut] = {}
@@ -223,41 +170,6 @@ class ActionModel:
         return self.system.m(self.acting.index(a), self.acting.index(b))
 
 
-def _chain_matrix(n: int, orders: Dict[Tuple[int, int], int]) -> list:
-    mat = [[2] * n for _ in range(n)]
-    for i in range(n):
-        mat[i][i] = 1
-    for (i, j), m in orders.items():
-        mat[i][j] = mat[j][i] = m
-    return mat
-
-
-def _acting_system(kind: str, size: int) -> Tuple[CoxeterSystem, Tuple[str, ...]]:
-    if kind == "A":
-        labels = tuple(f"s{i}" for i in range(1, size + 1))
-        mat = _chain_matrix(size, {(i, i + 1): 3 for i in range(size - 1)})
-        return CoxeterSystem(mat, labels=labels, finite=True), labels
-    if kind in ("B", "B_ab"):
-        k = size - 1
-        labels = tuple(f"s{i}" for i in range(1, k + 1))
-        orders = {(i, i + 1): 3 for i in range(k - 1)}
-        if k >= 2:
-            orders[(0, 1)] = 4
-        return CoxeterSystem(_chain_matrix(k, orders), labels=labels, finite=True), labels
-    if kind == "I2":
-        return CoxeterSystem([[1]], labels=("s",), finite=True), ("s",)
-    if kind == "D":
-        labels = ("s2", "s2'") + tuple(f"s{i}" for i in range(3, size))
-        k = len(labels)
-        orders = {}
-        if k >= 3:
-            orders[(0, 2)] = orders[(1, 2)] = 3
-            for i in range(2, k - 1):
-                orders[(i, i + 1)] = 3
-        return CoxeterSystem(_chain_matrix(k, orders), labels=labels, finite=True), labels
-    raise CoxeterError(f"unknown model kind {kind!r}")
-
-
 def action_model(kind: str, size: int) -> ActionModel:
     """Conjugation action tables.
 
@@ -268,10 +180,10 @@ def action_model(kind: str, size: int) -> ActionModel:
     - "D", n: s2, s2', s3..s_{n-1} on a2, a2', a3..an, b3..bn (table only;
       the modeled group is not free).
     """
-    system, labels = _acting_system(kind, size)
     if kind == "A":
         if size < 1:
             raise CoxeterError("type A model needs size >= 1")
+        system = named_system(f"A{size}")
         basis = [f"a{i}" for i in range(1, size + 2)]
         table = {}
         for i in range(1, size + 1):
@@ -280,11 +192,12 @@ def action_model(kind: str, size: int) -> ActionModel:
                 ai: letter(an),
                 an: _conj(letter(an), letter(ai)),
             })
-        return ActionModel(kind, size, basis, system, labels, table)
+        return ActionModel(kind, size, basis, system, table)
     if kind == "B":
         if size < 2:
             raise CoxeterError("type B model needs size >= 2")
         n = size
+        system = subsystem(named_system(f"B{n}"), range(n - 1))
         basis = [f"x{i}" for i in range(1, n + 1)] + [f"y{i}" for i in range(1, n)]
         empty: FreeWord = ()
 
@@ -301,11 +214,12 @@ def action_model(kind: str, size: int) -> ActionModel:
                                   letter(f"x{i+1}")),
                 f"y{i}": word_mul(y(i + 1), letter(f"y{i}", -1), y(i - 1)),
             })
-        return ActionModel(kind, size, basis, system, labels, table)
+        return ActionModel(kind, size, basis, system, table)
     if kind == "B_ab":
         if size < 2:
             raise CoxeterError("type B model needs size >= 2")
         n = size
+        system = subsystem(named_system(f"B{n}"), range(n - 1))
         basis = [f"a{i}" for i in range(1, n + 1)] + [f"b{i}" for i in range(2, n + 1)]
         table = {"s1": FreeAut(basis, {
             "b2": letter("a2"),
@@ -321,22 +235,24 @@ def action_model(kind: str, size: int) -> ActionModel:
                 bn: letter(bi),
                 bi: _conj(letter(bi), letter(bn)),
             })
-        return ActionModel(kind, size, basis, system, labels, table)
+        return ActionModel(kind, size, basis, system, table)
     if kind == "I2":
         m = size
         if m < 3:
             raise CoxeterError("I2 model needs size >= 3")
+        system = CoxeterSystem([[1]], labels=("s",))
         basis = [f"a{i}" for i in range(1, m)]
         images = {}
         for j in range(1, m):
             conjugator = word_mul(*[letter(f"a{k}") for k in range(m - j - 1, 0, -1)])
             images[f"a{j}"] = _conj(conjugator, letter(f"a{m-j}"))
         table = {"s": FreeAut(basis, images)}
-        return ActionModel(kind, size, basis, system, labels, table)
+        return ActionModel(kind, size, basis, system, table)
     if kind == "D":
         n = size
         if n < 3:
             raise CoxeterError("type D model needs size >= 3")
+        system = subsystem(named_system(f"D{n}"), range(n - 1))
         basis = ["a2", "a2'"] + [f"a{i}" for i in range(3, n + 1)] \
             + [f"b{i}" for i in range(3, n + 1)]
         table = {
@@ -367,7 +283,7 @@ def action_model(kind: str, size: int) -> ActionModel:
             (_conj(letter("a2'"), letter("b3")), letter("a3")),
             (_conj(letter("a2"), letter("b3")), letter("a3")),
         )
-        return ActionModel(kind, size, basis, system, labels, table, commutations)
+        return ActionModel(kind, size, basis, system, table, commutations)
     raise CoxeterError(f"unknown model kind {kind!r}")
 
 
@@ -492,7 +408,7 @@ def corrupted_model(model: ActionModel, label: Optional[str] = None,
     table = dict(model.table)
     table[label] = FreeAut(model.basis, images)
     return ActionModel(model.kind, model.size, model.basis, model.system,
-                       model.acting, table, model.commutations)
+                       table, model.commutations)
 
 
 def generic_braid_pair() -> dict:
@@ -631,19 +547,12 @@ def change_of_basis_check(n: int) -> dict:
     for i in range(1, n):
         sub[f"y{i}"] = word_mul(*[letter(f"b{k}") for k in range(n, i, -1)])
 
-    def h(w: FreeWord) -> FreeWord:
-        out: List[Tuple[str, int]] = []
-        for sym, e in w:
-            img = sub[sym]
-            out.extend(img if e == 1 else word_inv(img))
-        return free_reduce(out)
-
     checked = 0
     failures = []
     for label in xy.acting:
         for u in xy.basis:
-            lhs = h(xy.aut(label).apply(letter(u)))
-            rhs = ab.aut(label).apply(h(letter(u)))
+            lhs = substitute(sub, xy.aut(label).apply(letter(u)))
+            rhs = ab.aut(label).apply(substitute(sub, letter(u)))
             checked += 1
             if lhs != rhs:
                 failures.append({"s": label, "symbol": u,

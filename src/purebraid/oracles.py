@@ -20,16 +20,13 @@ from .coxeter import CoxElem, CoxeterError, CoxeterSystem, named_system
 # are tuples over {+-1..+-n} mapping position i (0-based) to a signed value.
 
 
-def _compose(p: Tuple[int, ...], q: Tuple[int, ...]) -> Tuple[int, ...]:
+def compose(p: Tuple[int, ...], q: Tuple[int, ...]) -> Tuple[int, ...]:
     """(p then q) on signed tuples: apply q after p."""
     out = []
     for v in p:
         w = q[abs(v) - 1]
         out.append(w if v > 0 else -w)
     return tuple(out)
-
-
-compose = _compose  # public name: the oracle-side group law
 
 
 def _transposition(n: int, i: int, j: int, flip: bool = False) -> Tuple[int, ...]:
@@ -89,7 +86,7 @@ class PermutationOracle:
     def image_of_word(self, word: Sequence[int]) -> Tuple[int, ...]:
         img = self.identity
         for s in word:
-            img = _compose(img, self.gen_images[s])
+            img = compose(img, self.gen_images[s])
         return img
 
     def image(self, el: CoxElem) -> Tuple[int, ...]:
@@ -99,7 +96,7 @@ class PermutationOracle:
         """Descents read off the permutation image (independent of words)."""
         out = set()
         for s, g in enumerate(self.gen_images):
-            probe = _compose(g, perm) if side == "left" else _compose(perm, g)
+            probe = compose(g, perm) if side == "left" else compose(perm, g)
             # l(ws) < l(w) iff multiplying shortens; decide by oracle length
             if self.length(probe) < self.length(perm):
                 out.add(s)

@@ -30,6 +30,7 @@ from .coxeter import (
     longest_element,
     subsystem,
 )
+from .freeword import free_reduce, word_inv
 from .nmap import eval_Np
 
 Symbol = tuple
@@ -104,20 +105,6 @@ def word_key(word: Word):
     return (len(word), tuple((symbol_key(s), 0 if e == 1 else 1) for s, e in word))
 
 
-def free_reduce_word(word: Iterable[Tuple[Symbol, int]]) -> Word:
-    out: List[Tuple[Symbol, int]] = []
-    for sym, e in word:
-        if out and out[-1] == (sym, -e):
-            out.pop()
-        else:
-            out.append((sym, e))
-    return tuple(out)
-
-
-def invert_word(word: Word) -> Word:
-    return tuple((sym, -e) for sym, e in reversed(word))
-
-
 def word_str(system: CoxeterSystem, word: Word) -> str:
     if not word:
         return "1"
@@ -142,7 +129,7 @@ def word_to_braid(system: CoxeterSystem, word: Word) -> BraidWord:
 
 def normalize_relation(u: Word, v: Word) -> Optional[Tuple[Word, Word]]:
     """Freely reduce, drop tautologies, put the ShortLex-smaller side first."""
-    u, v = free_reduce_word(u), free_reduce_word(v)
+    u, v = free_reduce(u), free_reduce(v)
     if u == v:
         return None
     return (u, v) if word_key(u) <= word_key(v) else (v, u)
@@ -154,14 +141,14 @@ def canonical_relator(u: Word, v: Word) -> Word:
     Two relations are consequences of each other by conjugation/inversion
     alone iff their canonical relators coincide; used for golden comparisons.
     """
-    r = list(free_reduce_word(tuple(u) + invert_word(tuple(v))))
+    r = list(free_reduce(tuple(u) + word_inv(tuple(v))))
     while len(r) >= 2 and r[0] == (r[-1][0], -r[-1][1]):
         r = r[1:-1]
     r = tuple(r)
     if not r:
         return ()
     candidates = []
-    for w in (r, invert_word(r)):
+    for w in (r, word_inv(r)):
         for k in range(len(w)):
             candidates.append(w[k:] + w[:k])
     return min(candidates, key=word_key)
@@ -215,9 +202,9 @@ def schreier_rewrite(b: BraidWord, I) -> Tuple[Word, CoxElem]:
             new_rep = coset_rep(rep * system.gen(s), I)
             emitted, back = schreier_step(system, I, new_rep, s)
             assert back == rep
-            out.extend(invert_word(emitted))
+            out.extend(word_inv(emitted))
             rep = new_rep
-    return free_reduce_word(out), rep
+    return free_reduce(out), rep
 
 
 # ---------------------------------------------------------------------------
@@ -467,7 +454,7 @@ def presentation_DI(system: CoxeterSystem, I, max_length: Optional[int] = None,
     (type D_n produces the commutation a_2 a_2' = a_2' a_2 that way).
     """
     I = tuple(sorted(set(I)))
-    partial = max_length is not None and not (system._finite is True)
+    partial = max_length is not None and not system.is_finite()
     gens = [cox_symbol(i) for i in I] + \
            [g.symbol for g in presentation_generators(system, I, max_length)]
     relations = list(_braid_relations_among(system, I))
@@ -709,13 +696,13 @@ def _dense_invariant_factors(a: List[List[int]]) -> List[int]:
 
 def retraction_h(word: Word) -> Word:
     """h: D_I -> B_{W_I}: kills pure generators, fixes I."""
-    return free_reduce_word((sym, e) for sym, e in word if sym[0] == "s")
+    return free_reduce((sym, e) for sym, e in word if sym[0] == "s")
 
 
 def _equal_I_words(system: CoxeterSystem, u: Word, v: Word) -> bool:
     """Equality in B_{W_I} for retraction images: syntactic equality or a
     defining braid relation (the only cases the relations produce)."""
-    u, v = free_reduce_word(u), free_reduce_word(v)
+    u, v = free_reduce(u), free_reduce(v)
     if u == v:
         return True
     if len(u) != len(v) or not u:
@@ -890,13 +877,7 @@ def reflections_vs_nbar_check(system: CoxeterSystem, I,
     I = tuple(sorted(set(I)))
     witnessed = {g.reflection() for g in minimal_generating_set(system, I,
                                                                 max_length)}
-    finite = system._finite is True
-    if not finite:
-        try:
-            finite = system.is_finite()
-        except Exception:
-            finite = False
-    if finite:
+    if system.is_finite():
         target = nbar(max_I_reduced(system, I))
         return {"finite": True, "equal": witnessed == target,
                 "count": len(witnessed),

@@ -68,6 +68,17 @@ def test_verify_actions(capsys):
     assert doc["passed"] and doc["controls"]["corrupted_fails"]
 
 
+@pytest.mark.parametrize("kind, n", [("I2", "5"), ("B", "2"), ("A", "1")])
+def test_verify_actions_single_acting_generator(capsys, kind, n):
+    # no braid relation, so the corrupted-model control is not run
+    code, out, _ = run(capsys, "verify-actions", "--kind", kind, "--n", n,
+                       "--samples", "10")
+    doc = json.loads(out)
+    assert code == 0 and doc["passed"]
+    assert doc["braid_relations"]["checks"] == []
+    assert doc["controls"]["corrupted_fails"] is None
+
+
 def test_verify_actions_text(capsys):
     code, out, _ = run(capsys, "verify-actions", "--kind", "D", "--n", "4",
                        "--samples", "10", "--format", "text")
@@ -124,6 +135,7 @@ def test_usage_errors(capsys):
     ["nmap", "--type", "A3", "--word", "s1^x"],
     ["nmap", "--type", "A3", "--word", "s1^"],
     ["nmap", "--type", "A3", "--word", "s9"],
+    ["nmap", "--type", "A3", "--word", "s1^99999999999"],
     ["nmap", "--type", "Z9", "--word", "s1"],
     ["cocycle", "--type", "A3", "--v", "s1"],
     ["cocycle", "--type", "A3", "--w", "s1"],
@@ -131,6 +143,10 @@ def test_usage_errors(capsys):
     ["admissible", "--type", "A3", "--set", "s9"],
     ["present", "--type", "A2", "--I", "s9"],
     ["present", "--type", "Atilde2"],
+    ["present", "--type", "A3", "--max-length", "-1"],
+    ["cocycle", "--type", "B2", "--samples", "-5"],
+    ["oracle-check", "--type", "A3", "--samples", "-1"],
+    ["verify-actions", "--kind", "A", "--n", "2", "--samples", "-3"],
     ["no-such-command"],
 ], ids=" ".join)
 def test_malformed_input_exits_2(capsys, argv):

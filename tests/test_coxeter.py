@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import pytest
@@ -19,7 +20,6 @@ from purebraid.coxeter import (
     reflections,
     subsystem,
     system_from_json,
-    validate_system,
 )
 
 
@@ -43,6 +43,77 @@ def test_infinite_detection():
     for w in aff.enumerate_elements(max_length=3):
         lengths[len(w)] = lengths.get(len(w), 0) + 1
     assert lengths[0] == 1 and lengths[1] == 3 and lengths[2] == 6
+
+
+def test_is_finite_rank3_matches_enumeration():
+    # H3 (order 120) is the largest finite rank-3 group, so W is finite iff
+    # listing 121 elements runs out first
+    bonds = [2, 3, 4, 5, 6, 7, None]
+    finite = 0
+    for a, b, c in itertools.product(bonds, repeat=3):
+        system = CoxeterSystem([[1, a, b], [a, 1, c], [b, c, 1]])
+        expected = len(list(system.enumerate_elements(max_elements=121))) <= 120
+        assert system.is_finite() == expected, (a, b, c)
+        finite += expected
+    assert finite == 31
+
+
+def _json_system(rank, edges):
+    """A JSON Coxeter system from {(i, j): m} bonds, 2 elsewhere."""
+    m = [[1 if i == j else 2 for j in range(rank)] for i in range(rank)]
+    for (i, j), bond in edges.items():
+        m[i][j] = m[j][i] = bond
+    return system_from_json(json.dumps({"rank": rank, "m": m}))
+
+
+def _path(*bonds):
+    return _json_system(len(bonds) + 1, {(i, i + 1): m for i, m in enumerate(bonds)})
+
+
+def _branch(*arms, first_bond=3):
+    """Node 0 with arms of the given numbers of nodes; every bond is 3 except
+    the one from node 0 into the first arm."""
+    edges, nxt = {}, 1
+    for arm in arms:
+        prev = 0
+        for _ in range(arm):
+            edges[(prev, nxt)] = 3
+            prev, nxt = nxt, nxt + 1
+    edges[(0, 1)] = first_bond
+    return _json_system(nxt, edges)
+
+
+@pytest.mark.parametrize("system, finite", [
+    (_path(3, 4, 3), True),              # F4
+    (_path(5, 3, 3), True),              # H4
+    (_branch(1, 1, 2), True),            # D5
+    (_branch(1, 2, 2), True),            # E6
+    (_branch(1, 2, 3), True),            # E7
+    (_branch(1, 2, 4), True),            # E8
+    (_json_system(4, {(0, 1): 3, (1, 2): 3, (2, 3): 3, (0, 3): 3}), False),  # Atilde3
+    (_branch(1, 1, 1, first_bond=4), False),  # Btilde3
+    (_path(4, 3, 4), False),             # Ctilde3
+    (_branch(1, 1, 1, 1), False),        # Dtilde4
+    (_json_system(6, {(0, 2): 3, (1, 2): 3, (2, 3): 3, (3, 4): 3, (3, 5): 3}),
+     False),                             # Dtilde5: two branch nodes
+    (_path(3, 3, 4, 3), False),          # Ftilde4
+    (_branch(2, 2, 2), False),           # Etilde6
+    (_branch(1, 2, 5), False),           # Etilde8
+    (_path(5, 3, 3, 3), False),
+    (_branch(1, 2, 6), False),           # E10
+    (_json_system(3, {(0, 1): 3, (1, 2): 3, (0, 2): 3}), False),  # Atilde2
+    (_json_system(3, {(0, 1): None}), False),
+], ids=["F4", "H4", "D5", "E6", "E7", "E8", "Atilde3", "Btilde3", "Ctilde3",
+        "Dtilde4", "Dtilde5", "Ftilde4", "Etilde6", "Etilde8", "5333", "E10",
+        "Atilde2", "infinite_bond"])
+def test_is_finite_classification(system, finite):
+    assert system.is_finite() is finite
+
+
+def test_named_systems_are_finite():
+    for name in ("A1", "A5", "B4", "D6", "E6", "E7", "E8", "F4", "H3", "H4", "I2(9)"):
+        assert named_system(name).is_finite()
+    assert not named_system("Atilde2").is_finite()
 
 
 def test_normal_form_idempotent_and_reduced():
@@ -82,6 +153,17 @@ def test_reflection_counts():
     assert len(reflections(named_system("B3"))) == 9
     assert len(reflections(named_system("D4"))) == 12
     assert len(reflections(named_system("I2(5)"))) == 5
+
+
+def test_reflections_stop_at_max_length():
+    system = named_system("E6")
+    short = {r.element for r in reflections(system, max_length=3)}
+    edges = [(s, t) for s in range(6) for t in range(s + 1, 6) if system.m(s, t) == 3]
+    assert len(edges) == 5
+    assert short == ({system.gen(s) for s in range(6)}
+                     | {system.normal_form((s, t, s)) for s, t in edges})
+    with pytest.raises(CoxeterError):
+        reflections(named_system("Atilde2"))  # infinite: max_length required
 
 
 def test_palindromize_witness():
@@ -138,13 +220,13 @@ def test_exchange_witness():
 
 def test_validate_system_errors():
     with pytest.raises(CoxeterError):
-        validate_system([[1, 3], [2, 1]])  # asymmetric
+        CoxeterSystem([[1, 3], [2, 1]])  # asymmetric
     with pytest.raises(CoxeterError):
-        validate_system([[2, 3], [3, 1]])  # bad diagonal
+        CoxeterSystem([[2, 3], [3, 1]])  # bad diagonal
     with pytest.raises(CoxeterError):
-        validate_system([[1, 1], [1, 1]])  # off-diagonal < 2
+        CoxeterSystem([[1, 1], [1, 1]])  # off-diagonal < 2
     with pytest.raises(CoxeterError):
-        validate_system([])
+        CoxeterSystem([])
 
 
 def test_system_from_json_and_load():

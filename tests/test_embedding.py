@@ -11,7 +11,7 @@ from purebraid.embedding import (
     index2_roundtrip_check,
     phi_relation_check,
 )
-from purebraid.free_actions import free_reduce, letter, parse_free_word, word_mul
+from purebraid.freeword import free_reduce, letter, parse_free_word, word_mul
 
 
 def test_instance_validation():

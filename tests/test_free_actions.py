@@ -16,14 +16,16 @@ from purebraid.free_actions import (
     corrupted_model,
     d_commutation_regression,
     equal_modulo_commutations,
-    free_reduce,
-    free_word_str,
     generic_braid_pair,
     is_automorphism,
-    letter,
     nontriviality_sample,
-    parse_free_word,
     verify_braid_relations,
+)
+from purebraid.freeword import (
+    free_reduce,
+    free_word_str,
+    letter,
+    parse_free_word,
     word_inv,
     word_mul,
 )
