@@ -13,8 +13,8 @@ import random
 import sys
 from typing import Optional
 
-from .braid import BraidWord, lift
-from .coxeter import CoxeterError, CoxeterSystem, named_system
+from .braid import BraidWord
+from .coxeter import CoxeterError, CoxeterSystem, named_system, subsystem
 from .free_actions import (
     abelianized_action,
     action_model,
@@ -27,7 +27,6 @@ from .embedding import embedding_report
 from .nmap import (
     cocycle,
     eval_N,
-    eval_Np,
     is_admissible,
     nbar,
     splitting_parity_witness,
@@ -73,6 +72,21 @@ def _parse_I(system: CoxeterSystem, text: Optional[str]) -> tuple:
 def _need_cap(system: CoxeterSystem, max_length: Optional[int]):
     if max_length is None and not system.is_finite():
         raise UsageError(f"{system.name} is infinite; --max-length is required")
+
+
+def _sampler(system: CoxeterSystem, max_length: Optional[int], rng: random.Random):
+    """A function drawing uniform random elements: of length <= max_length
+    if given, else of all of W (finite), as v_1 ... v_n with v_k uniform
+    among the minimal coset representatives of W_{k-1} = <s_1..s_{k-1}> in
+    W_k, which never lists W itself."""
+    if max_length is not None:
+        pool = list(system.enumerate_elements(max_length=max_length))
+        return lambda: rng.choice(pool)
+    levels = [list(subsystem(system, range(k)).enumerate_elements(I=range(k - 1)))
+              for k in range(1, system.rank + 1)]
+    # the first k labels of W_k are those of W, so words carry over as they are
+    return lambda: system.normal_form(
+        tuple(s for level in levels for s in rng.choice(level).word))
 
 
 def _emit(doc, fmt: str, text_fn=None) -> None:
@@ -221,12 +235,10 @@ def cmd_cocycle(args) -> int:
         _emit(doc, args.format)
         return 0
     _need_cap(system, args.max_length)
-    rng = random.Random(args.seed)
-    cap = args.max_length
-    pool = list(system.enumerate_elements(max_length=cap))
+    draw = _sampler(system, args.max_length, random.Random(args.seed))
     failures = []
     for _ in range(args.samples):
-        u, v, w = (pool[rng.randrange(len(pool))] for _ in range(3))
+        u, v, w = draw(), draw(), draw()
         # 2-cocycle identity: u.c(v,w) - c(uv,w) + c(u,vw) - c(u,v) = 0
         total = (cocycle(v, w).acted_by(u) - cocycle(u * v, w)
                  + cocycle(u, v * w) - cocycle(u, v))
@@ -246,36 +258,20 @@ def cmd_cocycle(args) -> int:
 
 def cmd_oracle_check(args) -> int:
     system = _system(args.type)
-    failures = []
-    checked = 0
+    _need_cap(system, args.max_length)
     try:
         oracle = PermutationOracle.for_system(args.type)
     except CoxeterError:
-        oracle = None
-    if oracle is not None:
-        rng = random.Random(args.seed)
-        pool = list(system.enumerate_elements(max_length=args.max_length))
-        for _ in range(args.samples):
-            v = pool[rng.randrange(len(pool))]
-            w = pool[rng.randrange(len(pool))]
-            checked += 1
-            lhs = oracle.image(v * w)
-            rhs = oracle.image_of_word(v.word + w.word)
-            if lhs != rhs or oracle.length(oracle.image(v)) != len(v):
-                failures.append([str(v), str(w)])
-    else:
-        _need_cap(system, args.max_length)
-        mat = MatrixOracle(system)
-        rng = random.Random(args.seed)
-        pool = list(system.enumerate_elements(max_length=args.max_length))
-        for _ in range(args.samples):
-            v = pool[rng.randrange(len(pool))]
-            w = pool[rng.randrange(len(pool))]
-            checked += 1
-            if mat.image(v * w) != mat.image_of_word(v.word + w.word):
-                failures.append([str(v), str(w)])
-    doc = {"type": args.type, "checked": checked,
-           "oracle": "permutation" if oracle else "matrix",
+        oracle = MatrixOracle(system)
+    draw = _sampler(system, args.max_length, random.Random(args.seed))
+    failures = []
+    for _ in range(args.samples):
+        v, w = draw(), draw()
+        if oracle.image(v * w) != oracle.image_of_word(v.word + w.word) or (
+                hasattr(oracle, "length") and oracle.length(oracle.image(v)) != len(v)):
+            failures.append([str(v), str(w)])
+    doc = {"type": args.type, "checked": args.samples,
+           "oracle": "matrix" if isinstance(oracle, MatrixOracle) else "permutation",
            "failures": failures, "passed": not failures}
     _emit(doc, args.format)
     return 0 if not failures else 1

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import re
+from itertools import chain, islice
 from typing import Iterable, Iterator, Optional, Sequence
 
 
@@ -29,6 +30,17 @@ class CoxeterError(ValueError):
 def _alt(s: int, t: int, length: int) -> tuple:
     """Alternating word s t s t ... with `length` letters, starting with s."""
     return tuple(s if i % 2 == 0 else t for i in range(length))
+
+
+def _by_length(level: list, up, max_length: Optional[int]) -> Iterator[list]:
+    """Breadth-first walk: `level` (of one length), then the sorted set of
+    up(w) over it, and so on while lengths stay <= max_length.  `up` must
+    lengthen every element by the same amount, so no level is seen twice."""
+    while level and (max_length is None or len(level[0]) <= max_length):
+        yield level
+        if len(level[0]) == max_length:
+            return
+        level = sorted({v for w in level for v in up(w)})
 
 
 class CoxeterSystem:
@@ -159,27 +171,30 @@ class CoxeterSystem:
     def identity(self) -> "CoxElem":
         return self._identity
 
-    def enumerate_elements(self, max_length=None, max_elements=None) -> Iterator["CoxElem"]:
-        """Each element once, by increasing length, ShortLex within length."""
-        level = [()]
-        length = 0
-        count = 0
-        while level:
-            for w in level:
-                yield CoxElem(self, w)
-                count += 1
-                if max_elements is not None and count >= max_elements:
-                    return
-            if max_length is not None and length >= max_length:
-                return
-            nxt = set()
-            for w in level:
-                for s in range(self.rank):
-                    prod = self._mult_gen(w, s)
-                    if len(prod) == len(w) + 1:
-                        nxt.add(prod)
-            level = sorted(nxt)
-            length += 1
+    def enumerate_elements(self, max_length=None, max_elements=None,
+                           I: Iterable[int] = ()) -> Iterator["CoxElem"]:
+        """The I-reduced elements w (no s in I with l(sw) < l(w)), each once,
+        by increasing length, ShortLex within a length; I empty walks all of W.
+
+        The I-reduced elements are closed under prefixes (Björner-Brenti,
+        GTM 231, ch. 2), so each length is reached from the one below by the
+        right multiplications that lengthen and stay I-reduced: the walk
+        never visits the rest of W.  An infinite W needs max_length or
+        max_elements.
+        """
+        if max_length is None and max_elements is None and not self.is_finite():
+            raise CoxeterError("max_length required for an infinite system")
+        I = frozenset(I)
+
+        def up(w):
+            for s in range(self.rank):
+                ws = self._mult_gen(w, s)
+                if len(ws) > len(w) and (
+                        not I or I.isdisjoint(CoxElem(self, ws).descents("left"))):
+                    yield ws
+
+        words = chain.from_iterable(_by_length([()], up, max_length))
+        return (CoxElem(self, w) for w in islice(words, max_elements))
 
     def elements(self) -> list:
         """All elements of a finite system."""
@@ -371,11 +386,27 @@ def make_reflection(el: CoxElem) -> Reflection:
 
 
 def reflections(system: CoxeterSystem, max_length: Optional[int] = None) -> list:
-    """All reflections of length <= max_length (all of them, W finite, if None)."""
+    """All reflections of length <= max_length (all of them, W finite, if
+    None), by length, ShortLex within a length, each with the witness of
+    `make_reflection`.
+
+    The orbit of S is grown by the steps t -> s t s that add 2 to the length.
+    They reach every reflection: for a reflection t other than s with
+    l(st) < l(t), t(a_s) is a negative root other than -a_s, so s t s is a
+    reflection of length l(t) - 2 (Björner-Brenti, GTM 231, ch. 4).
+    """
     if max_length is None and not system.is_finite():
         raise CoxeterError("max_length required for an infinite system")
-    return [make_reflection(el) for el in system.enumerate_elements(max_length=max_length)
-            if is_reflection(el)]
+    gens = [system.gen(s) for s in range(system.rank)]
+
+    def up(t):
+        for s in gens:
+            sts = (t * s).inv() * s  # (t s)^-1 = s t, t being an involution
+            if len(sts) > len(t):
+                yield sts
+
+    return [make_reflection(t) for level in _by_length(gens, up, max_length)
+            for t in level]
 
 
 def conjugate_reflection(w: CoxElem, r: Reflection) -> Reflection:
@@ -442,30 +473,27 @@ def is_spherical(system: CoxeterSystem, I: Iterable[int]) -> bool:
 
 
 def parabolic_elements(system: CoxeterSystem, I: Iterable[int]) -> list:
-    """All elements of W_I, as elements of W (requires W_I finite)."""
+    """All elements of W_I, as elements of W (requires W_I finite), by
+    length, ShortLex within a length: the elements of the subsystem on I,
+    whose ShortLex words map letter by letter to those of W as I is sorted."""
     I = sorted(set(I))
-    if not is_spherical(system, I):
-        raise CoxeterError(f"parabolic on {I} is not finite")
-    seen = {()}
-    stack = [()]
-    while stack:
-        w = stack.pop()
-        for s in I:
-            prod = system._mult_gen(w, s)
-            if prod not in seen:
-                seen.add(prod)
-                stack.append(prod)
-    return sorted(CoxElem(system, w) for w in seen)
+    if not I:
+        return [system.identity]
+    return [CoxElem(system, tuple(I[a] for a in w.word))
+            for w in subsystem(system, I).elements()]
 
 
 def longest_element(system: CoxeterSystem, I: Optional[Iterable[int]] = None) -> CoxElem:
-    """w_I, the longest element of the parabolic W_I (W itself if I is None)."""
-    I = list(range(system.rank)) if I is None else sorted(set(I))
+    """w_I, the longest element of the parabolic W_I (W itself if I is None):
+    the element of W_I with every s in I as a right descent, reached from e
+    by multiplying by an s in I that is not one yet."""
+    I = frozenset(range(system.rank) if I is None else I)
     if not is_spherical(system, I):
-        raise CoxeterError(f"parabolic on {I} is not spherical")
-    w0 = max(parabolic_elements(system, I), key=len)
-    assert w0.descents("left") >= frozenset(I) and w0.descents("right") >= frozenset(I)
-    return w0
+        raise CoxeterError(f"parabolic on {sorted(I)} is not spherical")
+    w = system.identity
+    while missing := I - w.descents("right"):
+        w = w * system.gen(min(missing))
+    return w
 
 
 def in_parabolic(w: CoxElem, I: Iterable[int]) -> bool:

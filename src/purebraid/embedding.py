@@ -56,6 +56,13 @@ class EmbeddingInstance:
                 self._psi_images[f"b{i}"] = word_mul(self._from_x[f"x{i}"],
                                                      word_inv(self._from_x[f"x{i-1}"]))
                 self._to_x[f"a{i}"] = word_mul(letter(f"x{i-1}", -1), letter(f"x{i}"))
+        # preimages under psi of the Schreier basis of the even-length
+        # subgroup: u_i = x_i x_1^-1 = psi(b_i..b_2), v_i = x_1 x_i =
+        # psi(a'_1 a'_2..a'_i)
+        self._pullbacks = {
+            f"x{i}": (word_mul(*[letter(f"b{k}") for k in range(i, 1, -1)]),
+                      word_mul(*[letter(f"a{k}") for k in range(1, i + 1)]))
+            for i in range(1, n + 2)}
 
     # -- phi ------------------------------------------------------------
 
@@ -97,29 +104,21 @@ class EmbeddingInstance:
 
         Schreier rewriting of the even-length subgroup of <x_1..x_{n+1}> with
         transversal {1, x1}: free basis u_i = x_i x_1^-1 (i >= 2) and
-        v_i = x_1 x_i, pulled back through u_i = psi(b_i..b_2) and
-        v_i = psi(a'_1 a'_2..a'_i).
+        v_i = x_1 x_i, pulled back through the table built in __init__.
         """
         xw = self.to_x_basis(w)
         if len(xw) % 2 == 1:
             return None
         out: List[Tuple[str, int]] = []
         state = 0  # 0 <-> rep 1, 1 <-> rep x1
-
-        def u_pullback(i: int) -> FreeWord:
-            return word_mul(*[letter(f"b{k}") for k in range(i, 1, -1)])
-
-        def v_pullback(i: int) -> FreeWord:
-            return word_mul(*[letter(f"a{k}") for k in range(1, i + 1)])
-
         for sym, e in xw:
-            i = int(sym[1:])
+            u, v = self._pullbacks[sym]
             if e == 1:
-                piece = u_pullback(i) if state == 0 else v_pullback(i)
+                piece = u if state == 0 else v
                 state = 1 - state
             else:
                 state = 1 - state
-                piece = word_inv(v_pullback(i) if state == 1 else u_pullback(i))
+                piece = word_inv(v if state == 1 else u)
             out.extend(piece)
         assert state == 0
         result = free_reduce(out)

@@ -569,7 +569,7 @@ def d_commutation_regression(n: int = 4) -> dict:
     both products) together with the table-level derivation.
     """
     system = named_system(f"D{n}")
-    from .schreier import PureGenerator, symbol_to_braid
+    from .schreier import PureGenerator
 
     def alt_base(word_gens):
         return system.normal_form(list(word_gens))

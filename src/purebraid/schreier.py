@@ -26,7 +26,6 @@ from .coxeter import (
     _alt,
     coset_rep,
     is_I_reduced,
-    is_reflection,
     longest_element,
     subsystem,
 )
@@ -158,13 +157,11 @@ def canonical_relator(u: Word, v: Word) -> Word:
 # the rewriting process
 
 
-def _I_descent_conjugator(rep: CoxElem, ws: CoxElem, I) -> int:
-    """The t in I with ws = t rep, for rep I-reduced and ws = rep*s non-I-reduced."""
-    system = rep.system
-    for t in I:
-        if system.gen(t) * rep == ws:
-            return t
-    raise CoxeterError("no conjugating generator found")  # unreachable
+def _I_descent_conjugator(ws: CoxElem, I) -> int:
+    """The t in I with ws = t rep, for rep I-reduced and ws = rep*s reduced
+    but not I-reduced: by Deodhar's lemma, the single left descent of ws in I."""
+    t, = ws.descents("left") & frozenset(I)
+    return t
 
 
 def schreier_step(system: CoxeterSystem, I, rep: CoxElem, s: int):
@@ -179,7 +176,7 @@ def schreier_step(system: CoxeterSystem, I, rep: CoxElem, s: int):
     if len(ws) == len(rep) + 1:
         if is_I_reduced(ws, I):
             return (), ws
-        t = _I_descent_conjugator(rep, ws, I)
+        t = _I_descent_conjugator(ws, I)
         return ((cox_symbol(t), 1),), rep
     return ((pure_symbol(ws, s), 1),), ws
 
@@ -211,21 +208,12 @@ def schreier_rewrite(b: BraidWord, I) -> Tuple[Word, CoxElem]:
 # generators
 
 
-def I_reduced_elements(system: CoxeterSystem, I,
-                       max_length: Optional[int] = None) -> List[CoxElem]:
-    I = frozenset(I)
-    if max_length is None and not system.is_finite():
-        raise CoxeterError("max_length required for an infinite system")
-    return [w for w in system.enumerate_elements(max_length=max_length)
-            if is_I_reduced(w, I)]
-
-
 def presentation_generators(system: CoxeterSystem, I,
                             max_length: Optional[int] = None) -> List[PureGenerator]:
     """All a_{b,s} with b*s reduced and I-reduced (Schreier generators)."""
     I = tuple(sorted(set(I)))
     out = []
-    for b in I_reduced_elements(system, I, max_length):
+    for b in system.enumerate_elements(max_length, I=I):
         for s in range(system.rank):
             bs = b * system.gen(s)
             if len(bs) == len(b) + 1 and is_I_reduced(bs, I):
@@ -254,10 +242,6 @@ def minimal_generating_set(system: CoxeterSystem, I,
 
 # ---------------------------------------------------------------------------
 # closed-form relations (families of Prop. "presentation de D_I")
-
-
-def _wst(system: CoxeterSystem, s: int, t: int, i: int) -> CoxElem:
-    return CoxElem(system, system._canonical(_alt(s, t, i))) if i else system.identity
 
 
 def _a_super(system: CoxeterSystem, I, b0: CoxElem, s: int, t: int, j: int) -> Symbol:
@@ -292,8 +276,8 @@ def relation_for(system: CoxeterSystem, I, b0: CoxElem, s: int, t: int,
     if i == 0:
         if s_red or t_red:
             return None
-        sp = _I_descent_conjugator(b0, b0s, I)
-        tp = _I_descent_conjugator(b0, b0t, I)
+        sp = _I_descent_conjugator(b0s, I)
+        tp = _I_descent_conjugator(b0t, I)
         lhs = tuple((cox_symbol(x), 1) for x in _alt(sp, tp, m))
         rhs = tuple((cox_symbol(x), 1) for x in _alt(tp, sp, m))
         return normalize_relation(lhs, rhs)
@@ -309,7 +293,7 @@ def relation_for(system: CoxeterSystem, I, b0: CoxElem, s: int, t: int,
         return normalize_relation(lhs, rhs)
     if not 1 <= i <= m - 1:
         raise CoxeterError(f"family (2) needs 1 <= i <= m-1, got {i}")
-    sp = _I_descent_conjugator(b0, b0t, I)
+    sp = _I_descent_conjugator(b0t, I)
     lhs = ((cox_symbol(sp), 1),) + tuple((_a_super(system, I, b0, s, t, j), 1)
                                          for j in range(m - 2, m - i - 2, -1))
     rhs = tuple((_a_super(system, I, b0, s, t, j), 1)
@@ -318,28 +302,19 @@ def relation_for(system: CoxeterSystem, I, b0: CoxElem, s: int, t: int,
 
 
 def decompose_alternating(b: CoxElem, s: int, t: int):
-    """b = b0 (xy x...)_i with i maximal and b0 reduced-{s,t}; returns
-    (b0, oriented pair (x,y), i) or None when neither orientation applies."""
+    """(b0, x, y, i) with b = b0 (x y x ...)_i, l(b) = l(b0) + i, {x, y} =
+    {s, t} and neither s nor t a right descent of b0: the parabolic
+    decomposition for W_{s,t}, found by peeling right descents in {s, t}.
+    The tail fixes the orientation except when i is 0 or m(s, t); then x is
+    the smaller letter."""
     system = b.system
-    m = system.m(s, t)
-    cap = len(b) if m is None else min(m, len(b))
-    best = None
-    for x, y in ((s, t), (t, s)) if s <= t else ((t, s), (s, t)):
-        for i in range(cap, -1, -1):
-            tail = _wst(system, x, y, i)
-            b0 = b * tail.inv()
-            if len(b0) != len(b) - i:
-                continue
-            if len(b0 * system.gen(x)) != len(b0) + 1:
-                continue
-            if len(b0 * system.gen(y)) != len(b0) + 1:
-                continue
-            if best is None or i > best[3]:
-                best = (b0, x, y, i)
-            break
-    if best is None:
-        return None
-    return best
+    b0, peeled = b, []
+    while d := b0.descents("right") & {s, t}:
+        peeled.append(min(d))
+        b0 = b0 * system.gen(peeled[-1])
+    i = len(peeled)
+    x = min(s, t) if i in (0, system.m(s, t)) else peeled[-1]
+    return b0, x, s + t - x, i
 
 
 def rewrite_braid_relation(system: CoxeterSystem, I, rep: CoxElem,
@@ -459,7 +434,7 @@ def presentation_DI(system: CoxeterSystem, I, max_length: Optional[int] = None,
            [g.symbol for g in presentation_generators(system, I, max_length)]
     relations = list(_braid_relations_among(system, I))
     seen = {frozenset((u, v)) for u, v in relations}
-    candidates = I_reduced_elements(system, I, max_length)
+    candidates = list(system.enumerate_elements(max_length, I=I))
     for s in range(system.rank):
         for t in range(system.rank):
             if s == t:
@@ -520,7 +495,7 @@ def crosscheck_closed_vs_raw(system: CoxeterSystem, I,
     I = tuple(sorted(set(I)))
     checked = 0
     failures = []
-    for rep in I_reduced_elements(system, I, max_length):
+    for rep in system.enumerate_elements(max_length, I=I):
         for s in range(system.rank):
             for t in range(s + 1, system.rank):
                 m = system.m(s, t)
@@ -529,9 +504,7 @@ def crosscheck_closed_vs_raw(system: CoxeterSystem, I,
                 if max_length is not None and len(rep) + m > max_length:
                     continue
                 raw = rewrite_braid_relation(system, I, rep, s, t)
-                dec = decompose_alternating(rep, s, t)
-                assert dec is not None
-                b0, x, y, i = dec
+                b0, x, y, i = decompose_alternating(rep, s, t)
                 # family (1) is stated for the couple opposite to the tail
                 # orientation; family (2) and the i = 0 case follow the tail
                 if i >= 1 and is_I_reduced(b0 * system.gen(y), I):
@@ -844,10 +817,7 @@ def dihedral_conjugation_test(b: CoxElem, s_prime: int, I) -> Optional[int]:
         for t in range(system.rank):
             if s == t or system.m(s, t) is None:
                 continue
-            dec = decompose_alternating(b, s, t)
-            if dec is None:
-                continue
-            b0, x, y, i = dec
+            b0, x, y, i = decompose_alternating(b, s, t)
             # realign the oriented decomposition on the couple (s, t)
             if (x, y) != (s, t) and i > 0:
                 continue
@@ -883,8 +853,6 @@ def reflections_vs_nbar_check(system: CoxeterSystem, I,
                 "count": len(witnessed),
                 "missing": sorted(str(t) for t in target - witnessed),
                 "extra": sorted(str(t) for t in witnessed - target)}
-    if max_length is None:
-        raise CoxeterError("max_length required for an infinite system")
     missing = []
     for r in reflections(system, max_length=max_length):
         t = r.element

@@ -1,9 +1,12 @@
+import itertools
 import json
 import pathlib
+import random
 
 import pytest
 
-from purebraid.cli import main
+from purebraid.cli import _sampler, main
+from purebraid.coxeter import named_system, subsystem
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -118,6 +121,43 @@ def test_oracle_check_permutation_and_matrix(capsys):
                        "--samples", "50", "--max-length", "4")
     assert code == 0
     assert json.loads(out)["oracle"] == "matrix"
+
+
+def test_oracle_check_and_cocycle_without_listing_W(capsys):
+    for argv in (["oracle-check", "--type", "F4", "--samples", "3"],
+                 ["cocycle", "--type", "B3", "--samples", "5"]):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and json.loads(out)["passed"], argv
+
+
+class _Scripted:
+    """A stand-in for random.Random whose choices follow a given list."""
+
+    def __init__(self, picks):
+        self.picks = iter(picks)
+
+    def choice(self, seq):
+        return seq[next(self.picks)]
+
+
+@pytest.mark.parametrize("name", ["B3", "D4", "H3", "I2(5)"])
+def test_sampler_is_uniform_over_W(name):
+    # every combination of one choice per level gives a different element
+    system = named_system(name)
+    orders = [1] + [len(subsystem(system, range(k)).elements())
+                    for k in range(1, system.rank + 1)]
+    sizes = [b // a for a, b in zip(orders, orders[1:])]
+    picks = [i for choice in itertools.product(*map(range, sizes)) for i in choice]
+    draw = _sampler(system, None, _Scripted(picks))
+    assert sorted(draw() for _ in range(orders[-1])) == system.elements()
+
+
+def test_sampler_with_max_length_draws_from_the_capped_pool():
+    system = named_system("Atilde2")
+    pool = list(system.enumerate_elements(max_length=4))
+    draw = _sampler(system, 4, random.Random(3))
+    rng = random.Random(3)
+    assert [draw() for _ in range(20)] == [pool[rng.randrange(len(pool))] for _ in range(20)]
 
 
 def test_usage_errors(capsys):

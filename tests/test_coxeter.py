@@ -209,6 +209,69 @@ def test_parabolic_elements_and_subsystem():
     assert sub.labels == ("s1", "s2") and sub.m(0, 1) == 4
 
 
+# -- walks against the definitions they replace ----------------------------
+
+WALKED = ("A3", "B3", "H3", "D4", "I2(5)")
+
+
+def _subsets(rank):
+    return [I for k in range(rank + 1) for I in itertools.combinations(range(rank), k)]
+
+
+@pytest.mark.parametrize("name, max_length", [(n, None) for n in WALKED] + [("Atilde2", 6)])
+def test_walk_of_I_reduced_elements_is_the_filter_of_W(name, max_length):
+    system = named_system(name)
+    W = list(system.enumerate_elements(max_length=max_length))
+    for I in _subsets(system.rank):
+        walked = list(system.enumerate_elements(max_length=max_length, I=I))
+        assert walked == [w for w in W if is_I_reduced(w, I)], I
+
+
+def test_walk_guard_and_caps():
+    affine = named_system("Atilde2")
+    with pytest.raises(CoxeterError):
+        affine.enumerate_elements(I=(0,))
+    assert len(list(affine.enumerate_elements(max_elements=7, I=(0,)))) == 7
+    assert [str(w) for w in affine.enumerate_elements(max_length=0, I=(0,))] == ["e"]
+
+
+def _reflections_by_filter(system, max_length=None):
+    """The former definition: the reflections among all elements of W."""
+    return [make_reflection(w) for w in system.enumerate_elements(max_length=max_length)
+            if is_reflection(w)]
+
+
+def _with_witnesses(refls):
+    return [(r.element, r.witness_u, r.witness_s) for r in refls]
+
+
+@pytest.mark.parametrize("name", WALKED + ("I2(6)",))
+def test_reflections_are_the_filter_of_W(name):
+    system = named_system(name)
+    assert _with_witnesses(reflections(system)) \
+        == _with_witnesses(_reflections_by_filter(system))
+
+
+def test_reflections_of_affine_A2_at_every_max_length():
+    system = named_system("Atilde2")
+    assert reflections(system, max_length=0) == []
+    for k in range(1, 10):
+        assert _with_witnesses(reflections(system, max_length=k)) \
+            == _with_witnesses(_reflections_by_filter(system, k)), k
+
+
+@pytest.mark.parametrize("name", WALKED)
+def test_parabolic_and_longest_elements(name):
+    system = named_system(name)
+    W = system.elements()
+    for I in _subsets(system.rank):
+        inside = parabolic_elements(system, I)
+        assert inside == [w for w in W if set(w.word) <= set(I)], I
+        assert longest_element(system, I) == max(inside, key=len), I
+    with pytest.raises(CoxeterError):
+        longest_element(named_system("Atilde2"), (0, 1, 2))
+
+
 def test_exchange_witness():
     system = named_system("A3")
     # s1 * (s2 s1) = (s2 s1) * s2

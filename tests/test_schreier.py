@@ -18,6 +18,7 @@ import purebraid
 from purebraid.braid import BraidWord, lift
 from purebraid.coxeter import (
     CoxeterError,
+    CoxeterSystem,
     coset_rep,
     is_I_reduced,
     named_system,
@@ -27,6 +28,7 @@ from purebraid.schreier import (
     Presentation,
     abelianization,
     crosscheck_closed_vs_raw,
+    decompose_alternating,
     devissage,
     dihedral_conjugation_test,
     max_I_reduced,
@@ -324,6 +326,26 @@ def test_unique_writing():
     d4 = named_system("D4")
     assert writings_count(max_I_reduced(d4, (0, 1, 2))) == 2
     assert not unique_writing(max_I_reduced(d4, (0, 1, 2)))
+
+
+@pytest.mark.parametrize("system, max_length", [
+    (named_system("A3"), None), (named_system("B3"), None), (named_system("H3"), None),
+    (named_system("I2(5)"), None), (named_system("Atilde2"), 5),
+    (CoxeterSystem([[1, None, 2], [None, 1, 4], [2, 4, 1]]), 5),
+], ids=["A3", "B3", "H3", "I2(5)", "Atilde2", "infinite_bond"])
+def test_decompose_alternating(system, max_length):
+    for b in system.enumerate_elements(max_length=max_length):
+        for s in range(system.rank):
+            for t in range(system.rank):
+                if s == t:
+                    continue
+                b0, x, y, i = decompose_alternating(b, s, t)
+                assert {x, y} == {s, t}
+                tail = system.normal_form(tuple(x if k % 2 == 0 else y for k in range(i)))
+                assert b0 * tail == b and len(b0) + len(tail) == len(b) == len(b0) + i
+                assert not b0.descents("right") & {s, t}
+                if i in (0, system.m(s, t)):
+                    assert x == min(s, t)
 
 
 def test_dihedral_conjugation_criterion():
