@@ -177,7 +177,8 @@ def cmd_pure_present(args) -> int:
 
 def cmd_devissage(args) -> int:
     system = _system(args.type)
-    _need_cap(system, None)
+    if not system.is_finite():
+        raise UsageError(f"devissage needs a finite Coxeter group; {system.name} is infinite")
     chain = standard_chain(system)
     doc = devissage(system, chain).to_json()
     _emit(doc, args.format)
@@ -288,13 +289,14 @@ def build_parser() -> argparse.ArgumentParser:
                     "presentations, free actions and the B-to-A embedding.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_type=True):
+    def common(p, needs_type=True, max_length=True):
         if needs_type:
             p.add_argument("--type", required=True,
                            help="named system, e.g. A3, B2, I2(5), D4, Atilde2")
         p.add_argument("--format", choices=("json", "text"), default="json")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--max-length", type=_count, default=None)
+        if max_length:
+            p.add_argument("--max-length", type=_count, default=None)
 
     p = sub.add_parser("nmap", help="evaluate N on a braid word")
     common(p)
@@ -316,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_pure_present)
 
     p = sub.add_parser("devissage", help="per-level generators along the standard chain")
-    common(p)
+    common(p, max_length=False)
     p.set_defaults(fn=cmd_devissage)
 
     p = sub.add_parser("verify-actions", help="braid relations of an action model")

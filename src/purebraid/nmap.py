@@ -50,6 +50,8 @@ class ZTVector:
 
     def acted_by(self, w: CoxElem) -> "ZTVector":
         """w . x: permute reflections by conjugation."""
+        if w.is_identity():
+            return self
         return ZTVector(self.system, {w.conj(t): c for t, c in self.coeffs.items()})
 
     def is_zero(self) -> bool:

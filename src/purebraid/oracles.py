@@ -2,8 +2,9 @@
 
 These are test oracles only; the primary element representation everywhere
 else in the package is the reduced word.  Types A, B and D get permutation
-models, and arbitrary crystallographic-entry systems get the integer-matrix
-reflection representation (used for the affine example).
+models, and systems with bond orders in {2, 3, 4, 5, 6} get the reflection
+representation over Z, or over Z[phi] when a bond is 5 (H3, H4, I2(5)); the
+affine example uses it too.
 """
 
 from __future__ import annotations
@@ -117,34 +118,84 @@ class PermutationOracle:
 
 # -- integer matrix representation -------------------------------------------
 
-_CARTAN_PRODUCT = {2: 0, 3: 1, 4: 2, 6: 3}  # a_ij * a_ji = 4 cos^2(pi/m)
+
+class GoldenInt:
+    """a + b phi in Z[phi], phi = (1 + sqrt 5) / 2, so phi^2 = phi + 1."""
+
+    __slots__ = ("a", "b")
+
+    def __init__(self, a: int = 0, b: int = 0):
+        self.a = a
+        self.b = b
+
+    @staticmethod
+    def _of(x) -> "GoldenInt":
+        return x if isinstance(x, GoldenInt) else GoldenInt(x)
+
+    def __add__(self, other):
+        other = self._of(other)
+        return GoldenInt(self.a + other.a, self.b + other.b)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return GoldenInt(-self.a, -self.b)
+
+    def __sub__(self, other):
+        return self + -self._of(other)
+
+    def __rsub__(self, other):
+        return self._of(other) - self
+
+    def __mul__(self, other):
+        other = self._of(other)
+        bd = self.b * other.b
+        return GoldenInt(self.a * other.a + bd, self.a * other.b + self.b * other.a + bd)
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other):
+        if not isinstance(other, (GoldenInt, int)):
+            return NotImplemented
+        other = self._of(other)
+        return self.a == other.a and self.b == other.b
+
+    def __hash__(self):
+        return hash(self.a) if self.b == 0 else hash((self.a, self.b))
+
+    def __repr__(self):
+        return f"({self.a}{self.b:+}phi)"
+
+
+# a_ij * a_ji = 4 cos^2(pi/m); for m = 5 that is phi^2
+_CARTAN_PRODUCT = {2: 0, 3: 1, 4: 2, 5: GoldenInt(1, 1), 6: 3}
 
 
 class MatrixOracle:
-    """Exact reflection representation over the integers.
+    """Exact reflection representation over Z, or over Z[phi] for bond 5.
 
-    Uses an integral generalized Cartan matrix: a_ii = 2 and, for i != j,
+    Uses a generalized Cartan matrix: a_ii = 2 and, for i != j,
     a_ij a_ji = 4 cos^2(pi/m_ij), which is an integer exactly for the
-    crystallographic orders m in {2, 3, 4, 6} (the split 1 * k puts the larger
-    entry below the diagonal).  The generator s_i acts on the root basis by
-    alpha_j -> alpha_j - a_ij alpha_i; this representation is faithful, so
-    matrix images give an independent equality test.
+    crystallographic orders m in {2, 3, 4, 6} and is phi^2 for m = 5 (the
+    split 1 * k puts the larger entry below the diagonal).  The entries are
+    ints when no bond is 5, else all of them are GoldenInt.  The generator
+    s_i acts on the root basis by alpha_j -> alpha_j - a_ij alpha_i; this
+    representation is faithful, so matrix images give an independent
+    equality test.
     """
 
     def __init__(self, system: CoxeterSystem):
         n = system.rank
+        bonds = {system.matrix[i][j] for i in range(n) for j in range(n) if i != j}
+        for m in bonds:
+            if m not in _CARTAN_PRODUCT:
+                raise CoxeterError(f"matrix oracle needs bond orders in {{2,3,4,5,6}}, got {m}")
+        ring = GoldenInt if 5 in bonds else int
         cartan = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
         for i in range(n):
             for j in range(n):
-                if i == j:
-                    continue
-                m = system.matrix[i][j]
-                if m is None or m not in _CARTAN_PRODUCT:
-                    raise CoxeterError(f"matrix oracle needs bond orders in {{2,3,4,6}}, got {m}")
-                prod = _CARTAN_PRODUCT[m]
-                if prod == 0:
-                    cartan[i][j] = 0
-                else:
+                prod = _CARTAN_PRODUCT[system.matrix[i][j]] if i != j else 0
+                if prod != 0:
                     cartan[i][j] = -1 if i < j else -prod
         self.system = system
         self.gen_mats = []
@@ -154,8 +205,9 @@ class MatrixOracle:
             mat = [[1 if a == b else 0 for b in range(n)] for a in range(n)]
             for j in range(n):
                 mat[i][j] -= cartan[i][j]
-            self.gen_mats.append(tuple(tuple(r) for r in mat))
-        self.identity = tuple(tuple(1 if a == b else 0 for b in range(n)) for a in range(n))
+            self.gen_mats.append(tuple(tuple(ring(x) for x in r) for r in mat))
+        self.identity = tuple(tuple(ring(1 if a == b else 0) for b in range(n))
+                              for a in range(n))
 
     def _matmul(self, A, B):
         n = self.system.rank

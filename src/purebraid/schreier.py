@@ -30,7 +30,7 @@ from .coxeter import (
     subsystem,
 )
 from .freeword import free_reduce, word_inv
-from .nmap import eval_Np
+from .nmap import SemidirectElem, ZTVector, eval_Np
 
 Symbol = tuple
 Word = Tuple[Tuple[Symbol, int], ...]
@@ -520,16 +520,35 @@ def crosscheck_closed_vs_raw(system: CoxeterSystem, I,
 def soundness_report(p: Presentation) -> dict:
     """eval_Np certificate: both sides of every relation agree in ZT x| W.
 
+    (N, p) is evaluated once per symbol and sign that the relations use, on
+    the braid word of the symbol or of its inverse; each side of a relation
+    is then the product of these images in ZT x| W, folded from (0, e).
+    Since (N, p) is a homomorphism, this equals eval_Np of the side expanded
+    into braid letters, without expanding it; a pure generator has trivial
+    W-part, so folding a P_W relation conjugates nothing.  The images are
+    kept for this call only.
+
     The kernel of (N, p) is the derived subgroup D(P_W), so a pass shows
     that each relation holds in B_W / D(P_W), not that it holds in B_W; the
     result says so under "certificate".
     """
-    failures = []
-    for u, v in p.relations:
-        bu = word_to_braid(p.system, u)
-        bv = word_to_braid(p.system, v)
-        if eval_Np(bu) != eval_Np(bv):
-            failures.append((word_str(p.system, u), word_str(p.system, v)))
+    system = p.system
+    images = {}
+
+    def image(sym: Symbol, e: int) -> SemidirectElem:
+        if (sym, e) not in images:
+            b = symbol_to_braid(system, sym)
+            images[sym, e] = eval_Np(b if e == 1 else b.inv())
+        return images[sym, e]
+
+    def fold(word: Word) -> SemidirectElem:
+        out = SemidirectElem(ZTVector(system), system.identity)
+        for sym, e in word:
+            out = out * image(sym, e)
+        return out
+
+    failures = [(word_str(system, u), word_str(system, v))
+                for u, v in p.relations if fold(u) != fold(v)]
     return {"checked": len(p.relations), "failures": failures,
             "passed": not failures, "certificate": "mod D(P_W)"}
 

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from purebraid import cli
 from purebraid.cli import _sampler, main
 from purebraid.coxeter import named_system, subsystem
 
@@ -123,6 +124,30 @@ def test_oracle_check_permutation_and_matrix(capsys):
     assert json.loads(out)["oracle"] == "matrix"
 
 
+@pytest.mark.parametrize("argv", [
+    ["--type", "H3"], ["--type", "I2(5)"], ["--type", "H4", "--max-length", "6"],
+], ids=" ".join)
+def test_oracle_check_bond_5(capsys, argv):
+    code, out, _ = run(capsys, "oracle-check", "--samples", "50", *argv)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["oracle"] == "matrix" and doc["passed"]
+
+
+def test_oracle_check_fails_on_a_corrupted_generator_matrix(capsys, monkeypatch):
+    class Corrupted(cli.MatrixOracle):
+        def __init__(self, system):
+            super().__init__(system)
+            # a_12 = -2 instead of -1: s1 s2 no longer has order 5
+            mat = [list(r) for r in self.gen_mats[0]]
+            mat[0][1] = mat[0][1] + 1
+            self.gen_mats[0] = tuple(map(tuple, mat))
+
+    monkeypatch.setattr(cli, "MatrixOracle", Corrupted)
+    code, out, _ = run(capsys, "oracle-check", "--type", "H3", "--samples", "50")
+    assert code == 1 and json.loads(out)["failures"]
+
+
 def test_oracle_check_and_cocycle_without_listing_W(capsys):
     for argv in (["oracle-check", "--type", "F4", "--samples", "3"],
                  ["cocycle", "--type", "B3", "--samples", "5"]):
@@ -184,8 +209,11 @@ def test_usage_errors(capsys):
     ["present", "--type", "A2", "--I", "s9"],
     ["present", "--type", "Atilde2"],
     ["present", "--type", "A3", "--max-length", "-1"],
+    ["devissage", "--type", "Atilde2"],
+    ["devissage", "--type", "A3", "--max-length", "4"],
     ["cocycle", "--type", "B2", "--samples", "-5"],
     ["oracle-check", "--type", "A3", "--samples", "-1"],
+    ["oracle-check", "--type", "I2(7)", "--samples", "5"],
     ["verify-actions", "--kind", "A", "--n", "2", "--samples", "-3"],
     ["no-such-command"],
 ], ids=" ".join)

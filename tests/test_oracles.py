@@ -3,7 +3,7 @@ import random
 import pytest
 
 from purebraid.coxeter import CoxeterError, named_system
-from purebraid.oracles import MatrixOracle, PermutationOracle, compose
+from purebraid.oracles import GoldenInt, MatrixOracle, PermutationOracle, compose
 
 
 def test_permutation_oracle_is_homomorphism_exhaustive_A3():
@@ -67,8 +67,39 @@ def test_matrix_oracle_affine():
 
 
 def test_matrix_oracle_rejects_noncrystallographic():
-    with pytest.raises(CoxeterError):
-        MatrixOracle(named_system("I2(5)"))
+    for name in ("I2(7)", "I2(8)", "I2(12)"):
+        with pytest.raises(CoxeterError, match=r"\{2,3,4,5,6\}"):
+            MatrixOracle(named_system(name))
+
+
+def test_golden_integers():
+    phi = GoldenInt(0, 1)
+    assert phi * phi == phi + 1
+    assert (2 - phi) * (1 + phi) == 1 and 3 - phi == GoldenInt(3, -1)
+    assert GoldenInt(4) == 4 and hash(GoldenInt(4)) == hash(4) and phi != 1
+    assert len({GoldenInt(1, 2), GoldenInt(1, 2), GoldenInt(2, 1)}) == 2
+
+
+def test_matrix_oracle_bond_5():
+    for name in ("H3", "I2(5)"):
+        system = named_system(name)
+        oracle = MatrixOracle(system)
+        assert all(isinstance(x, GoldenInt) for g in oracle.gen_mats for r in g for x in r)
+        images = {oracle.image(w) for w in system.elements()}
+        assert len(images) == len(system.elements())
+    # the image of s1 s2 in H3 has order exactly 5
+    oracle = MatrixOracle(named_system("H3"))
+    x = oracle.image_of_word((0, 1))
+    powers = [x]
+    for _ in range(4):
+        powers.append(oracle._matmul(powers[-1], x))
+    assert [p == oracle.identity for p in powers] == [False] * 4 + [True]
+
+
+def test_matrix_oracle_crystallographic_entries_stay_int():
+    for name in ("F4", "E6", "Atilde2"):
+        oracle = MatrixOracle(named_system(name))
+        assert all(type(x) is int for g in oracle.gen_mats for r in g for x in r)
 
 
 def test_signed_models_respect_orders():

@@ -23,7 +23,7 @@ from purebraid.coxeter import (
     is_I_reduced,
     named_system,
 )
-from purebraid.nmap import eval_Np, nbar
+from purebraid.nmap import SemidirectElem, ZTVector, eval_Np, nbar
 from purebraid.schreier import (
     Presentation,
     abelianization,
@@ -41,7 +41,9 @@ from purebraid.schreier import (
     semidirect_split,
     soundness_report,
     standard_chain,
+    symbol_to_braid,
     unique_writing,
+    word_str,
     word_to_braid,
     writings_count,
 )
@@ -150,6 +152,67 @@ def test_relations_hold_under_eval_Np(name, I):
     p = presentation_DI(named_system(name), I)
     report = soundness_report(p)
     assert report["passed"] and report["certificate"] == "mod D(P_W)"
+
+
+def _presentations_of(name):
+    system = named_system(name)
+    if not system.is_finite():
+        return [presentation_DI(system, (0, 1), max_length=4)]
+    return [presentation_pure(system)] + [presentation_DI(system, (i,))
+                                          for i in range(system.rank)]
+
+
+def _expanded_report(p):
+    """soundness_report the long way: each side expanded into braid letters."""
+    failures = [(word_str(p.system, u), word_str(p.system, v))
+                for u, v in p.relations
+                if eval_Np(word_to_braid(p.system, u))
+                != eval_Np(word_to_braid(p.system, v))]
+    return {"checked": len(p.relations), "failures": failures,
+            "passed": not failures, "certificate": "mod D(P_W)"}
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "H3", "I2(5)", "D4", "Atilde2"])
+def test_folded_generator_images_equal_expanded_relations(name):
+    # (N, p) is a homomorphism: the product of the images of the letters of
+    # a side is the image of the side written out in braid letters
+    for p in _presentations_of(name):
+        unit = SemidirectElem(ZTVector(p.system), p.system.identity)
+        for side in (side for rel in p.relations for side in rel):
+            folded = unit
+            for sym, e in side:
+                b = symbol_to_braid(p.system, sym)
+                folded = folded * eval_Np(b if e == 1 else b.inv())
+            assert folded == eval_Np(word_to_braid(p.system, side))
+        assert soundness_report(p) == _expanded_report(p)
+
+
+def test_soundness_fails_exactly_on_false_relations():
+    system = named_system("A2")
+    a1, a2 = ("a", (), 0), ("a", (), 1)
+    pure = presentation_pure(system)
+    false = [(((a1, 1),), ((a2, 1),)),
+             (((a1, 1),), ()),
+             (((a1, -1),), ((a1, 1),))]
+    p = Presentation(system, (), pure.generators, pure.relations + tuple(false))
+    report = soundness_report(p)
+    assert report["failures"] == [(word_str(system, u), word_str(system, v))
+                                  for u, v in false]
+    assert report == _expanded_report(p)
+
+    # s1 a[s3 s2;s1] = a[s3;s2] s1 in D_{s1,s2} of A3, with s2 for s1 on the left
+    system = named_system("A3")
+    p = presentation_DI(system, (0, 1))
+    swap = {("s", 0): ("s", 1), ("s", 1): ("s", 0)}
+    k = [word_str(system, u) for u, _ in p.relations].index("s1 a[s3 s2;s1]")
+    u, v = p.relations[k]
+    bad = (tuple((swap.get(sym, sym), e) for sym, e in u), v)
+    relations = p.relations[:k] + (bad,) + p.relations[k + 1:]
+    q = Presentation(system, p.I, p.generators, relations)
+    assert soundness_report(p)["passed"]
+    report = soundness_report(q)
+    assert report["failures"] == [(word_str(system, bad[0]), word_str(system, v))]
+    assert report == _expanded_report(q)
 
 
 @pytest.mark.xfail(strict=True, reason="(N, p) sees B_W only modulo D(P_W); "
