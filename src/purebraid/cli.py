@@ -137,10 +137,11 @@ def cmd_nmap(args) -> int:
 
 def cmd_admissible(args) -> int:
     system = _system(args.type)
-    elems = []
-    for part in args.set.split(","):
-        part = part.strip()
-        elems.append(system.normal_form(system.parse_word(part)))
+    # an empty --set is the empty set, the inversion set of e
+    parts = [part.strip() for part in args.set.split(",")] if args.set.strip() else []
+    if "" in parts:
+        raise UsageError(f"item {parts.index('') + 1} of --set {args.set!r} is empty")
+    elems = [system.normal_form(system.parse_word(part)) for part in parts]
     witness = is_admissible(system, elems)
     if witness is None:
         doc = {"admissible": False, "set": sorted(str(t) for t in elems)}
@@ -289,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "presentations, free actions and the B-to-A embedding.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_type=True, max_length=True):
+    def common(p, needs_type=True, max_length=False):
         if needs_type:
             p.add_argument("--type", required=True,
                            help="named system, e.g. A3, B2, I2(5), D4, Atilde2")
@@ -309,16 +310,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_admissible)
 
     p = sub.add_parser("present", help="presentation of D_I")
-    common(p)
+    common(p, max_length=True)
     p.add_argument("--I", default="", help='comma-separated generator labels, e.g. "s1,s2"')
     p.set_defaults(fn=cmd_present)
 
     p = sub.add_parser("pure-present", help="presentation of the pure braid group")
-    common(p)
+    common(p, max_length=True)
     p.set_defaults(fn=cmd_pure_present)
 
     p = sub.add_parser("devissage", help="per-level generators along the standard chain")
-    common(p, max_length=False)
+    common(p)
     p.set_defaults(fn=cmd_devissage)
 
     p = sub.add_parser("verify-actions", help="braid relations of an action model")
@@ -335,14 +336,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_verify_embedding)
 
     p = sub.add_parser("cocycle", help="extension cocycle: evaluate or verify")
-    common(p)
+    common(p, max_length=True)
     p.add_argument("--v", default=None)
     p.add_argument("--w", default=None)
     p.add_argument("--samples", type=_count, default=200)
     p.set_defaults(fn=cmd_cocycle)
 
     p = sub.add_parser("oracle-check", help="cross-check element arithmetic against an oracle")
-    common(p)
+    common(p, max_length=True)
     p.add_argument("--samples", type=_count, default=1000)
     p.set_defaults(fn=cmd_oracle_check)
 

@@ -24,7 +24,6 @@ from .coxeter import (
     CoxeterError,
     CoxeterSystem,
     _alt,
-    coset_rep,
     is_I_reduced,
     longest_element,
     subsystem,
@@ -55,11 +54,7 @@ class PureGenerator:
 
     def __init__(self, system: CoxeterSystem, base: CoxElem, gen: int,
                  I: Iterable[int] = ()):
-        bs = base * system.gen(gen)
-        if len(bs) != len(base) + 1:
-            raise CoxeterError(f"base times s{gen} is not reduced")
-        if not is_I_reduced(bs, I):
-            raise CoxeterError("base times generator is not I-reduced")
+        CosetTable(system, I, [system.identity]).climb(0, base.word + (gen,))
         self.system = system
         self.base = base
         self.gen = gen
@@ -157,28 +152,98 @@ def canonical_relator(u: Word, v: Word) -> Word:
 # the rewriting process
 
 
-def _I_descent_conjugator(ws: CoxElem, I) -> int:
-    """The t in I with ws = t rep, for rep I-reduced and ws = rep*s reduced
-    but not I-reduced: by Deodhar's lemma, the single left descent of ws in I."""
-    t, = ws.descents("left") & frozenset(I)
-    return t
+UP, DOWN, CONJ = "up", "down", "conj"
 
 
-def schreier_step(system: CoxeterSystem, I, rep: CoxElem, s: int):
-    """One positive letter: returns (emitted word, new representative).
+class CosetTable:
+    """The action of S on the cosets W_I\\W, on I-reduced representatives.
 
-    Three cases: rep*s reduced and I-reduced emits nothing; rep*s reduced but
-    not I-reduced emits t in I (with rep*s = t*rep, representative unchanged);
-    s a right descent of rep emits the pure generator a_{[rep*s], s}.
+    The representatives given (the walk `enumerate_elements(max_length,
+    I=I)`, or one element) get the ids 0, 1, ... in their order; `walked` is
+    their number.  The transition of rep k by s is
+      (UP, j)    when rep_k s is longer and I-reduced, rep_j = rep_k s;
+      (DOWN, j)  when s is a right descent of rep_k, rep_j = rep_k s;
+      (CONJ, t)  when rep_k s is longer but not I-reduced: rep_k s = t rep_k
+                 with t the single left descent of rep_k s in I (Deodhar).
+    The kernel computes a transition the first time it is read; a
+    representative reached past the given ones gets the next id.
     """
-    I = tuple(I)
-    ws = rep * system.gen(s)
-    if len(ws) == len(rep) + 1:
-        if is_I_reduced(ws, I):
-            return (), ws
-        t = _I_descent_conjugator(ws, I)
-        return ((cox_symbol(t), 1),), rep
-    return ((pure_symbol(ws, s), 1),), ws
+
+    def __init__(self, system: CoxeterSystem, I, reps: Iterable[CoxElem]):
+        self.system = system
+        self.I = frozenset(I)
+        self.reps = list(reps)
+        self.ids = {w.word: k for k, w in enumerate(self.reps)}
+        self.walked = len(self.reps)
+        self.moves = {}
+
+    def step(self, k: int, s: int) -> Tuple[str, int]:
+        if (k, s) not in self.moves:
+            self.moves[k, s] = self._fill(k, s)
+        return self.moves[k, s]
+
+    def _fill(self, k: int, s: int) -> Tuple[str, int]:
+        rep = self.reps[k]
+        ws = rep * self.system.gen(s)
+        up = len(ws) > len(rep)
+        if up and (d := self.I and ws.descents("left") & self.I):
+            t, = d
+            return CONJ, t
+        if ws.word not in self.ids:
+            self.ids[ws.word] = len(self.reps)
+            self.reps.append(ws)
+        return (UP if up else DOWN), self.ids[ws.word]
+
+    def climb(self, k: int, word: Sequence[int]) -> int:
+        """The id of rep_k * word, raising CoxeterError unless every letter
+        is an UP step."""
+        for s in word:
+            kind, j = self.step(k, s)
+            if kind != UP:
+                raise CoxeterError(
+                    f"{self.reps[k]} times {self.system.labels[s]} is not "
+                    + ("reduced" if kind == DOWN else "I-reduced"))
+            k = j
+        return k
+
+    def rewrite(self, k: int, letters) -> Tuple[List[Tuple[Symbol, int]], int]:
+        """Schreier rewriting of the signed letters read from rep k: the
+        emitted word over the generators of D_I and the id reached.  A CONJ
+        letter emits t; an UP step read backwards, or a DOWN step read
+        forwards, emits a_{b,s} with b the shorter of its two ends."""
+        out = []
+        for s, e in letters:
+            kind, j = self.step(k, s)
+            if kind == CONJ:
+                out.append((cox_symbol(j), e))
+                continue
+            if (kind == DOWN) == (e == 1):
+                out.append((pure_symbol(self.reps[j if kind == DOWN else k], s), e))
+            k = j
+        return out, k
+
+    def peel(self, k: int, s: int, t: int) -> Tuple[int, int, int, int]:
+        """decompose_alternating of rep k, with the id of b0."""
+        peeled = []
+        while d := [r for r in sorted((s, t)) if self.step(k, r)[0] == DOWN]:
+            peeled.append(d[0])
+            k = self.step(k, d[0])[1]
+        i = len(peeled)
+        x = min(s, t) if i in (0, self.system.m(s, t)) else peeled[-1]
+        return k, x, s + t - x, i
+
+    def generators(self) -> List[PureGenerator]:
+        """The a_{b,s} with b walked and b s an UP step, by symbol_key."""
+        out = []
+        for k in range(self.walked):
+            for s in range(self.system.rank):
+                if self.step(k, s)[0] == UP:
+                    # the UP step is the check PureGenerator.__init__ makes
+                    g = object.__new__(PureGenerator)
+                    g.system, g.base, g.gen = self.system, self.reps[k], s
+                    out.append(g)
+        out.sort(key=lambda g: symbol_key(g.symbol))
+        return out
 
 
 def schreier_rewrite(b: BraidWord, I) -> Tuple[Word, CoxElem]:
@@ -187,21 +252,9 @@ def schreier_rewrite(b: BraidWord, I) -> Tuple[Word, CoxElem]:
     The identity b = word * lift(rep) holds in B_W and is certified by eval_Np
     in the tests.
     """
-    system = b.system
-    I = tuple(I)
-    rep = system.identity
-    out: List[Tuple[Symbol, int]] = []
-    for s, e in b.letters:
-        if e == 1:
-            emitted, rep = schreier_step(system, I, rep, s)
-            out.extend(emitted)
-        else:
-            new_rep = coset_rep(rep * system.gen(s), I)
-            emitted, back = schreier_step(system, I, new_rep, s)
-            assert back == rep
-            out.extend(word_inv(emitted))
-            rep = new_rep
-    return free_reduce(out), rep
+    table = CosetTable(b.system, I, [b.system.identity])
+    out, k = table.rewrite(0, b.letters)
+    return free_reduce(out), table.reps[k]
 
 
 # ---------------------------------------------------------------------------
@@ -212,14 +265,7 @@ def presentation_generators(system: CoxeterSystem, I,
                             max_length: Optional[int] = None) -> List[PureGenerator]:
     """All a_{b,s} with b*s reduced and I-reduced (Schreier generators)."""
     I = tuple(sorted(set(I)))
-    out = []
-    for b in system.enumerate_elements(max_length, I=I):
-        for s in range(system.rank):
-            bs = b * system.gen(s)
-            if len(bs) == len(b) + 1 and is_I_reduced(bs, I):
-                out.append(PureGenerator(system, b, s, I))
-    out.sort(key=lambda g: symbol_key(g.symbol))
-    return out
+    return CosetTable(system, I, system.enumerate_elements(max_length, I=I)).generators()
 
 
 def minimal_generating_set(system: CoxeterSystem, I,
@@ -244,18 +290,18 @@ def minimal_generating_set(system: CoxeterSystem, I,
 # closed-form relations (families of Prop. "presentation de D_I")
 
 
-def _a_super(system: CoxeterSystem, I, b0: CoxElem, s: int, t: int, j: int) -> Symbol:
+def _a_super(table: CosetTable, b0: int, s: int, t: int, j: int) -> Symbol:
     """a^{(j)}_{b0,s,t} = a_{b0 . (s t s ...)_j, r}, r = s for even j, t for odd."""
-    base = system.normal_form(b0.word + _alt(s, t, j))
-    if len(base) != len(b0) + j:
-        raise CoxeterError("b0 times the alternating word is not reduced")
+    base = table.climb(b0, _alt(s, t, j))
     r = s if j % 2 == 0 else t
-    return PureGenerator(system, base, r, I).symbol
+    table.climb(base, (r,))
+    return pure_symbol(table.reps[base], r)
 
 
-def relation_for(system: CoxeterSystem, I, b0: CoxElem, s: int, t: int,
+def relation_for(table: CosetTable, b0: int, s: int, t: int,
                  i: int) -> Optional[Tuple[Word, Word]]:
-    """Closed form of the rewriting of b0 (sts..)_m = b0 (tst..)_m at level i.
+    """Closed form of the rewriting of b0 (sts..)_m = b0 (tst..)_m at level i,
+    for the representative b0 of `table`.
 
     i = 0 is the degenerate case: trivial unless both b0 s and b0 t fail to be
     I-reduced, in which case it is the braid relation between the conjugating
@@ -263,41 +309,34 @@ def relation_for(system: CoxeterSystem, I, b0: CoxElem, s: int, t: int,
     the relation belongs to family (1) (b0 t I-reduced, i = 1..m) or family
     (2) (b0 t = s' b0, i = 1..m-1).
     """
-    I = tuple(sorted(set(I)))
-    m = system.m(s, t)
+    m = table.system.m(s, t)
     if m is None:
         raise CoxeterError("the bond order m(s,t) must be finite")
-    b0s = b0 * system.gen(s)
-    b0t = b0 * system.gen(t)
-    if len(b0s) != len(b0) + 1 or len(b0t) != len(b0) + 1:
+    (s_kind, sp), (t_kind, tp) = table.step(b0, s), table.step(b0, t)
+    if DOWN in (s_kind, t_kind):
         raise CoxeterError("b0 must be reduced-{s,t}")
-    s_red = is_I_reduced(b0s, I)
-    t_red = is_I_reduced(b0t, I)
     if i == 0:
-        if s_red or t_red:
+        if UP in (s_kind, t_kind):
             return None
-        sp = _I_descent_conjugator(b0s, I)
-        tp = _I_descent_conjugator(b0t, I)
         lhs = tuple((cox_symbol(x), 1) for x in _alt(sp, tp, m))
         rhs = tuple((cox_symbol(x), 1) for x in _alt(tp, sp, m))
         return normalize_relation(lhs, rhs)
-    if not s_red:
+    if s_kind != UP:
         raise CoxeterError("b0 s must be I-reduced when i >= 1")
-    if t_red:
+    if t_kind == UP:
         if not 1 <= i <= m:
             raise CoxeterError(f"family (1) needs 1 <= i <= m, got {i}")
-        lhs = tuple((_a_super(system, I, b0, s, t, j), 1)
+        lhs = tuple((_a_super(table, b0, s, t, j), 1)
                     for j in range(m - 1, m - i - 1, -1))
-        rhs = tuple((_a_super(system, I, b0, t, s, j), 1)
+        rhs = tuple((_a_super(table, b0, t, s, j), 1)
                     for j in range(i - 1, -1, -1))
         return normalize_relation(lhs, rhs)
     if not 1 <= i <= m - 1:
         raise CoxeterError(f"family (2) needs 1 <= i <= m-1, got {i}")
-    sp = _I_descent_conjugator(b0t, I)
-    lhs = ((cox_symbol(sp), 1),) + tuple((_a_super(system, I, b0, s, t, j), 1)
+    lhs = ((cox_symbol(tp), 1),) + tuple((_a_super(table, b0, s, t, j), 1)
                                          for j in range(m - 2, m - i - 2, -1))
-    rhs = tuple((_a_super(system, I, b0, s, t, j), 1)
-                for j in range(i - 1, -1, -1)) + ((cox_symbol(sp), 1),)
+    rhs = tuple((_a_super(table, b0, s, t, j), 1)
+                for j in range(i - 1, -1, -1)) + ((cox_symbol(tp), 1),)
     return normalize_relation(lhs, rhs)
 
 
@@ -307,26 +346,21 @@ def decompose_alternating(b: CoxElem, s: int, t: int):
     decomposition for W_{s,t}, found by peeling right descents in {s, t}.
     The tail fixes the orientation except when i is 0 or m(s, t); then x is
     the smaller letter."""
-    system = b.system
-    b0, peeled = b, []
-    while d := b0.descents("right") & {s, t}:
-        peeled.append(min(d))
-        b0 = b0 * system.gen(peeled[-1])
-    i = len(peeled)
-    x = min(s, t) if i in (0, system.m(s, t)) else peeled[-1]
-    return b0, x, s + t - x, i
+    table = CosetTable(b.system, (), [b])
+    b0, x, y, i = table.peel(0, s, t)
+    return table.reps[b0], x, y, i
 
 
-def rewrite_braid_relation(system: CoxeterSystem, I, rep: CoxElem,
-                           s: int, t: int) -> Optional[Tuple[Word, Word]]:
-    """Raw Schreier rewriting of rep (sts..)_m = rep (tst..)_m."""
-    m = system.m(s, t)
+def rewrite_braid_relation(table: CosetTable, rep: int, s: int,
+                           t: int) -> Optional[Tuple[Word, Word]]:
+    """Raw Schreier rewriting of rep (sts..)_m = rep (tst..)_m, read from e
+    (id 0 of `table`)."""
+    m = table.system.m(s, t)
     if m is None:
         raise CoxeterError("the bond order m(s,t) must be finite")
-    lhs_b = lift(rep) * BraidWord.from_positive(system, _alt(s, t, m))
-    rhs_b = lift(rep) * BraidWord.from_positive(system, _alt(t, s, m))
-    lhs, lrep = schreier_rewrite(lhs_b, I)
-    rhs, rrep = schreier_rewrite(rhs_b, I)
+    sides = [table.rewrite(0, [(x, 1) for x in table.reps[rep].word + _alt(a, b, m)])
+             for a, b in ((s, t), (t, s))]
+    (lhs, lrep), (rhs, rrep) = sides
     assert lrep == rrep
     return normalize_relation(lhs, rhs)
 
@@ -430,11 +464,10 @@ def presentation_DI(system: CoxeterSystem, I, max_length: Optional[int] = None,
     """
     I = tuple(sorted(set(I)))
     partial = max_length is not None and not system.is_finite()
-    gens = [cox_symbol(i) for i in I] + \
-           [g.symbol for g in presentation_generators(system, I, max_length)]
+    table = CosetTable(system, I, system.enumerate_elements(max_length, I=I))
+    gens = [cox_symbol(i) for i in I] + [g.symbol for g in table.generators()]
     relations = list(_braid_relations_among(system, I))
     seen = {frozenset((u, v)) for u, v in relations}
-    candidates = list(system.enumerate_elements(max_length, I=I))
     for s in range(system.rank):
         for t in range(system.rank):
             if s == t:
@@ -442,29 +475,27 @@ def presentation_DI(system: CoxeterSystem, I, max_length: Optional[int] = None,
             m = system.m(s, t)
             if m is None:
                 continue
-            for b0 in candidates:
-                b0s = b0 * system.gen(s)
-                b0t = b0 * system.gen(t)
-                if len(b0s) != len(b0) + 1 or len(b0t) != len(b0) + 1:
+            for b0 in range(table.walked):
+                s_kind, t_kind = table.step(b0, s)[0], table.step(b0, t)[0]
+                if DOWN in (s_kind, t_kind):
                     continue
-                s_red = is_I_reduced(b0s, I)
-                t_red = is_I_reduced(b0t, I)
-                if not s_red and not t_red:
+                if s_kind == t_kind == CONJ:
                     i_range = (0,)
-                elif not s_red:
+                elif s_kind == CONJ:
                     continue  # handled with the couple (t, s)
-                elif t_red:
+                elif t_kind == UP:
                     top = m + 1 if family1_top else m
                     i_range = range(1, top)
                 else:
                     i_range = range(1, m)
-                if max_length is not None and len(b0) + max(i_range, default=0) \
+                length = len(table.reps[b0])
+                if max_length is not None and length + max(i_range, default=0) \
                         > max_length:
                     partial = True
                 for i in i_range:
-                    if max_length is not None and len(b0) + i > max_length:
+                    if max_length is not None and length + i > max_length:
                         continue
-                    rel = relation_for(system, I, b0, s, t, i)
+                    rel = relation_for(table, b0, s, t, i)
                     if rel is None:
                         continue
                     # family (1) at level i references bases up to length
@@ -493,27 +524,29 @@ def crosscheck_closed_vs_raw(system: CoxeterSystem, I,
                              max_length: Optional[int] = None) -> dict:
     """Raw rewriting of every representative relation vs the closed forms."""
     I = tuple(sorted(set(I)))
+    table = CosetTable(system, I, system.enumerate_elements(max_length, I=I))
     checked = 0
     failures = []
-    for rep in system.enumerate_elements(max_length, I=I):
+    for rep in range(table.walked):
         for s in range(system.rank):
             for t in range(s + 1, system.rank):
                 m = system.m(s, t)
                 if m is None:
                     continue
-                if max_length is not None and len(rep) + m > max_length:
+                if max_length is not None and len(table.reps[rep]) + m > max_length:
                     continue
-                raw = rewrite_braid_relation(system, I, rep, s, t)
-                b0, x, y, i = decompose_alternating(rep, s, t)
+                raw = rewrite_braid_relation(table, rep, s, t)
+                b0, x, y, i = table.peel(rep, s, t)
                 # family (1) is stated for the couple opposite to the tail
                 # orientation; family (2) and the i = 0 case follow the tail
-                if i >= 1 and is_I_reduced(b0 * system.gen(y), I):
-                    closed = relation_for(system, I, b0, y, x, i)
+                if i >= 1 and table.step(b0, y)[0] == UP:
+                    closed = relation_for(table, b0, y, x, i)
                 else:
-                    closed = relation_for(system, I, b0, x, y, i)
+                    closed = relation_for(table, b0, x, y, i)
                 checked += 1
                 if raw != closed:
-                    failures.append((str(rep), system.labels[s], system.labels[t]))
+                    failures.append((str(table.reps[rep]), system.labels[s],
+                                     system.labels[t]))
     return {"checked": checked, "failures": failures, "passed": not failures}
 
 

@@ -37,6 +37,20 @@ def test_admissible_positive_and_negative(capsys):
     assert code == 0 and not json.loads(out)["admissible"]
 
 
+def test_admissible_empty_set_is_the_inversion_set_of_e(capsys):
+    for text in ("", " "):
+        code, out, _ = run(capsys, "admissible", "--type", "A3", "--set", text)
+        assert code == 0
+        assert json.loads(out) == {"admissible": True, "witness": "e", "set": []}
+
+
+@pytest.mark.parametrize("text,item", [("s1,,s2", 2), ("s1, ", 2), (",s1", 1)])
+def test_admissible_names_the_empty_item(capsys, text, item):
+    code, out, err = run(capsys, "admissible", "--type", "A3", "--set", text)
+    assert (code, out) == (2, "")
+    assert f"item {item} of --set {text!r} is empty" in err
+
+
 def test_present_json_and_text(capsys):
     code, out, _ = run(capsys, "present", "--type", "A3", "--I", "s1,s2")
     assert code == 0
@@ -215,6 +229,12 @@ def test_usage_errors(capsys):
     ["oracle-check", "--type", "A3", "--samples", "-1"],
     ["oracle-check", "--type", "I2(7)", "--samples", "5"],
     ["verify-actions", "--kind", "A", "--n", "2", "--samples", "-3"],
+    ["nmap", "--type", "A3", "--word", "s1", "--max-length", "3"],
+    ["admissible", "--type", "A3", "--set", "s1", "--max-length", "3"],
+    ["verify-actions", "--kind", "A", "--n", "2", "--max-length", "3"],
+    ["verify-embedding", "--n", "3", "--samples", "5", "--max-length", "2"],
+    ["admissible", "--type", "A3", "--set", "s1,,s2"],
+    ["admissible", "--type", "A3", "--set", "s1, "],
     ["no-such-command"],
 ], ids=" ".join)
 def test_malformed_input_exits_2(capsys, argv):

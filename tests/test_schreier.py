@@ -1,3 +1,4 @@
+import itertools
 import os
 import random
 import subprocess
@@ -25,6 +26,9 @@ from purebraid.coxeter import (
 )
 from purebraid.nmap import SemidirectElem, ZTVector, eval_Np, nbar
 from purebraid.schreier import (
+    CONJ,
+    UP,
+    CosetTable,
     Presentation,
     abelianization,
     crosscheck_closed_vs_raw,
@@ -118,19 +122,69 @@ def test_presentation_generators_are_valid():
 
 
 def test_schreier_rewrite_certificate():
+    # the letters of a word reach representatives that no walk listed
     rng = random.Random(0)
-    system = named_system("B3")
-    I = (0, 1)
-    for _ in range(40):
-        k = rng.randrange(1, 9)
-        b = BraidWord(system, [(rng.randrange(3), rng.choice((1, -1)))
-                               for _ in range(k)])
-        word, rep = schreier_rewrite(b, I)
-        recomposed = word_to_braid(system, word) * lift(rep)
-        assert eval_Np(recomposed) == eval_Np(b)
-        # the representative is the I-reduced representative of p(b)
-        assert is_I_reduced(rep, I)
-        assert coset_rep(b.project(), I) == rep
+    for name, I, max_letters in (("B3", (0, 1), 8), ("D4", (0,), 10),
+                                 ("Atilde2", (0, 1), 10)):
+        system = named_system(name)
+        for _ in range(40):
+            k = rng.randrange(1, max_letters + 1)
+            b = BraidWord(system, [(rng.randrange(system.rank), rng.choice((1, -1)))
+                                   for _ in range(k)])
+            word, rep = schreier_rewrite(b, I)
+            recomposed = word_to_braid(system, word) * lift(rep)
+            assert eval_Np(recomposed) == eval_Np(b)
+            # the representative is the I-reduced representative of p(b)
+            assert is_I_reduced(rep, I)
+            assert coset_rep(b.project(), I) == rep
+
+
+def _table_cases():
+    for name in ("A3", "B3", "H3", "D4", "I2(5)"):
+        rank = named_system(name).rank
+        for k in range(3):
+            for I in itertools.combinations(range(rank), k):
+                yield name, I, None
+    for I in ((), (0,), (0, 1)):
+        yield "Atilde2", I, 6
+
+
+@pytest.mark.parametrize("name,I,max_length", list(_table_cases()),
+                         ids=lambda v: str(list(v)) if isinstance(v, tuple) else str(v))
+def test_coset_table_agrees_with_the_kernel(name, I, max_length):
+    system = named_system(name)
+    walk = list(system.enumerate_elements(max_length, I=I))
+    table = CosetTable(system, I, walk)
+    for k, rep in enumerate(walk):
+        for s in range(system.rank):
+            kind, x = table.step(k, s)
+            ws = rep * system.gen(s)
+            if kind == CONJ:
+                assert len(ws) == len(rep) + 1 and not is_I_reduced(ws, I)
+                assert [t for t in I if system.gen(t) * rep == ws] == [x]
+            else:
+                assert table.reps[x] == ws and is_I_reduced(ws, I)
+                assert len(ws) == len(rep) + (1 if kind == UP else -1)
+    assert table.reps[:table.walked] == walk
+    assert table.walked == len(walk)
+
+
+@pytest.mark.parametrize("name", ["D4", "H3", "A4"])
+def test_schreier_kernel_call_budget(name, monkeypatch):
+    # the coset table reads each product rep * s once, after the walk
+    # computed it once: 2 rank |W^I| calls of the kernel, against 24 to 51
+    # times that when every rewriting step called the kernel
+    calls = []
+    mult_gen = CoxeterSystem._mult_gen
+    monkeypatch.setattr(CoxeterSystem, "_mult_gen",
+                        lambda self, word, s: calls.append(1) or mult_gen(self, word, s))
+    for I, run in (((), presentation_pure), ((0,), presentation_DI),
+                   ((0,), crosscheck_closed_vs_raw), ((0,), semidirect_split)):
+        system = named_system(name)
+        size = sum(1 for _ in named_system(name).enumerate_elements(I=I))
+        calls.clear()
+        run(system, *([I] if I else []))
+        assert len(calls) <= 3 * system.rank * size, run.__name__
 
 
 @pytest.mark.parametrize("name,I", [
