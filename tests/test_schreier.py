@@ -165,15 +165,13 @@ def test_coset_table_agrees_with_the_kernel(name, I, max_length):
             else:
                 assert table.reps[x] == ws and is_I_reduced(ws, I)
                 assert len(ws) == len(rep) + (1 if kind == UP else -1)
-    assert table.reps[:table.walked] == walk
-    assert table.walked == len(walk)
+    assert table.walked == len(walk) and table.reps[:len(walk)] == walk
 
 
 @pytest.mark.parametrize("name", ["D4", "H3", "A4"])
 def test_schreier_kernel_call_budget(name, monkeypatch):
-    # the coset table reads each product rep * s once, after the walk
-    # computed it once: 2 rank |W^I| calls of the kernel, against 24 to 51
-    # times that when every rewriting step called the kernel
+    # the walk computes each product rep * s once and the coset table reads
+    # it once more: 2 rank |W^I| calls of the kernel, whatever is rewritten
     calls = []
     mult_gen = CoxeterSystem._mult_gen
     monkeypatch.setattr(CoxeterSystem, "_mult_gen",
