@@ -1,13 +1,27 @@
 """Exact arithmetic in arbitrary Coxeter groups.
 
-Elements are stored as ShortLex-minimal reduced words.  Equality of words is
-decided by the classical braid-move closure (Tits): two reduced words
-represent the same element iff they are connected by braid moves, and a
-non-reduced word always admits, inside its braid-move closure, a word with two
-adjacent equal letters.  This is correct for every Coxeter system, including
-infinite bonds and non-crystallographic types, at the price of an exponential
-worst case that is acceptable at the scale handled here; braid-move classes
-are memoized per system.
+Elements are stored as ShortLex-minimal reduced words.  Products, inverses,
+normal forms and descent sets (`CoxElem`) are decided by the classical
+braid-move closure (Tits): two reduced words represent the same element iff
+they are connected by braid moves, and a non-reduced word always admits,
+inside its braid-move closure, a word with two adjacent equal letters.  This
+is correct for every Coxeter system, including infinite bonds and
+non-crystallographic types, at the price of an exponential worst case;
+braid-move classes are memoized per system.
+
+The walk of the I-reduced elements W^I (`enumerate_elements`) and the coset
+table of `schreier` read instead the action of W on one vector of the
+reflection representation (Bjorner-Brenti, GTM 231, ch. 4; Casselman,
+"Computation in Coxeter groups I", Electron. J. Combin. 9, 2002).  For w in
+W^I the coset vector of W_I w is r_j = x_I(w a_j), where x_I is the linear
+form that is 0 on the simple roots a_i, i in I, and 1 on the others; it
+depends on the coset only and determines it.  Right multiplication by s
+sends r to r - A[s] r_s, and the sign of r_s says how s acts: r_s > 0, ws is
+longer and I-reduced; r_s < 0, ws is shorter; r_s = 0, ws = tw for the t in
+I with w(a_s) = a_t (Deodhar).  The Cartan matrix A is integral when every
+bond lies in {2, 3, 4, 6, inf}; otherwise it is the symmetric matrix of
+-2cos(pi/m) over the exact ring Z[2cos(pi/M)], with signs certified in
+integers.
 
 Finiteness is decided exactly from the Coxeter graph by the classification
 of the finite Coxeter groups (Coxeter 1935; Humphreys, Reflection Groups and
@@ -20,7 +34,8 @@ from __future__ import annotations
 import json
 import re
 from itertools import chain, islice
-from typing import Iterable, Iterator, Optional, Sequence
+from math import lcm
+from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
 
 class CoxeterError(ValueError):
@@ -41,6 +56,168 @@ def _by_length(level: list, up, max_length: Optional[int]) -> Iterator[list]:
         if len(level[0]) == max_length:
             return
         level = sorted({v for w in level for v in up(w)})
+
+
+# ---------------------------------------------------------------------------
+# exact rings of the reflection representation
+
+
+class _Integers:
+    """Z, the ring of a system whose bonds all lie in {2, 3, 4, 6, inf}."""
+
+    zero, one = 0, 1
+
+    @staticmethod
+    def neg(x):
+        return -x
+
+    @staticmethod
+    def submul(y, a, x):
+        """y - a x, a being a Cartan entry."""
+        return y - a * x
+
+    @staticmethod
+    def sign(x):
+        return (x > 0) - (x < 0)
+
+
+# (A[s][t], A[t][s]) for s < t: the integral Cartan split of a bond
+_INTEGRAL_SPLIT = {3: (-1, -1), 4: (-1, -2), 6: (-1, -3), None: (-2, -2)}
+
+
+class _RealCyclotomic:
+    """Z[theta], theta = 2cos(pi/M) for M >= 4, as integer vectors over the
+    power basis 1, theta, ..., theta^(d-1) (d = phi(2M)/2): equality is
+    equality of vectors.  A Cartan entry is kept as the integer matrix of
+    multiplication by it.
+
+    The sign is exact.  theta >= 1, so a vector with no negative (no
+    positive) coordinate is positive (negative).  Otherwise the element is
+    bounded by integer brackets of theta^k 2^bits, with twice the bits until
+    the bracket of the element excludes 0; it does, the element being
+    nonzero.  theta is bracketed by bisection with exact signs of its minimal
+    polynomial psi, from the interval [q, 2] with q = 2 - (3.1416/M)^2: psi
+    is monic, all its roots 2cos(k pi/M) (k prime to 2M) are real, theta is
+    the largest, and 2cos(3 pi/M) < q - 2^-64 <= theta (Taylor bounds of
+    cos; M below 10^9), so psi <= 0 exactly on the part of [q, 2] below
+    theta.
+    """
+
+    def __init__(self, M: int):
+        self.M = M
+        self.poly = _min_poly_2cos(M)  # monic, lowest coefficient first
+        d = self.d = len(self.poly) - 1
+        self.zero = (0,) * d
+        self.one = (1,) + (0,) * (d - 1)
+        self._bounds = {}
+
+    def _reduce(self, coeffs: list) -> tuple:
+        coeffs = list(coeffs) + [0] * (self.d - len(coeffs))
+        for k in range(len(coeffs) - 1, self.d - 1, -1):
+            c = coeffs[k]
+            if c:
+                for i, p in enumerate(self.poly[:-1]):
+                    coeffs[k - self.d + i] -= c * p
+        return tuple(coeffs[:self.d])
+
+    def two_cos(self, j: int) -> tuple:
+        """2cos(j pi/M): C_j(theta) with C_0 = 2, C_1 = theta and
+        C_{k+1} = theta C_k - C_{k-1}."""
+        prev, cur = [2], [0, 1]
+        for _ in range(j):
+            prev, cur = cur, [a - b for a, b in zip([0] + cur, prev + [0, 0])]
+        return self._reduce(prev)
+
+    def const(self, x: tuple) -> tuple:
+        """The matrix of multiplication by x, as a tuple of rows."""
+        cols = [self._reduce([0] * k + list(x)) for k in range(self.d)]
+        return tuple(zip(*cols))
+
+    @staticmethod
+    def neg(x):
+        return tuple(-c for c in x)
+
+    @staticmethod
+    def submul(y, a, x):
+        return tuple(c - sum(p * q for p, q in zip(row, x)) for c, row in zip(y, a))
+
+    def sign(self, x) -> int:
+        if min(x) >= 0:
+            return 1 if any(x) else 0
+        if max(x) <= 0:
+            return -1
+        bits = 64
+        while True:
+            lo_pow, hi_pow = self._power_bounds(bits)
+            lo = sum(c * (lo_pow[k] if c > 0 else hi_pow[k]) for k, c in enumerate(x))
+            hi = sum(c * (hi_pow[k] if c > 0 else lo_pow[k]) for k, c in enumerate(x))
+            if lo > 0:
+                return 1
+            if hi < 0:
+                return -1
+            bits *= 2
+
+    def _power_bounds(self, bits: int):
+        """Integers lo_k <= theta^k 2^bits <= hi_k for k < d."""
+        if bits not in self._bounds:
+            guard = bits + 2 * self.d + 8
+            L = self._theta_floor(guard)
+            lo, hi = [1 << bits], [1 << bits]
+            for k in range(1, self.d):
+                shift = k * guard - bits
+                lo.append(L ** k >> shift)
+                hi.append(-(-(L + 1) ** k >> shift))
+            self._bounds[bits] = (lo, hi)
+        return self._bounds[bits]
+
+    def _theta_floor(self, bits: int) -> int:
+        """The integer L with L <= theta 2^bits < L + 1."""
+        scale = (10000 * self.M) ** 2
+        lo, hi = ((2 * scale - 31416 ** 2) << bits) // scale, 2 << bits
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            value = 0  # psi(mid / 2^bits) 2^(d bits), by Horner
+            for k, p in enumerate(reversed(self.poly)):
+                value = value * mid + (p << (bits * k))
+            if value <= 0:
+                lo = mid
+            else:
+                hi = mid
+        return lo
+
+
+def _min_poly_2cos(M: int) -> list:
+    """The minimal polynomial of 2cos(pi/M), lowest coefficient first: the
+    cyclotomic polynomial Phi_2M(x) is x^d psi(x + 1/x)."""
+    def divide(num, den):  # exact division of integer polynomials, den monic
+        num, out = list(num), [0] * (len(num) - len(den) + 1)
+        for k in range(len(out) - 1, -1, -1):
+            out[k] = c = num[k + len(den) - 1]
+            for i, p in enumerate(den):
+                num[k + i] -= c * p
+        return out
+
+    n = 2 * M
+    cyclo = {}
+    for e in range(1, n + 1):
+        if n % e == 0:
+            f = [-1] + [0] * (e - 1) + [1]
+            for g in cyclo:
+                if e % g == 0:
+                    f = divide(f, cyclo[g])
+            cyclo[e] = f
+    laurent = cyclo[n]  # palindromic, degree 2d: coefficient of x^(k-d) at k
+    d = (len(laurent) - 1) // 2
+    psi = [0] * (d + 1)
+    for k in range(d, 0, -1):
+        # take c (x + 1/x)^k off the terms of degree -k..k
+        c = psi[k] = laurent[d + k]
+        binom = 1
+        for i in range(k + 1):
+            laurent[d + k - 2 * i] -= c * binom
+            binom = binom * (k - i) // (i + 1)
+    psi[0] = laurent[d]
+    return psi
 
 
 class CoxeterSystem:
@@ -72,9 +249,18 @@ class CoxeterSystem:
         self.labels = tuple(labels) if labels else tuple(f"s{i+1}" for i in range(n))
         if len(self.labels) != n:
             raise CoxeterError("wrong number of labels")
+        for label in self.labels:
+            # a label is one token of parse_word, and "e" prints the identity
+            if not isinstance(label, str) or not label or label == "e" \
+                    or any(c.isspace() for c in label):
+                raise CoxeterError(f"label {label!r} must be a non-empty string "
+                                   "with no whitespace, other than 'e'")
+        if len(set(self.labels)) != n:
+            raise CoxeterError(f"labels {list(self.labels)} are not distinct")
         self.name = name
         self._class_cache: dict = {}
         self._identity = CoxElem(self, ())
+        self._cartan = None
 
     def m(self, s: int, t: int) -> Optional[int]:
         return self.matrix[s][t]
@@ -165,6 +351,67 @@ class CoxeterSystem:
     def is_reduced(self, word: Sequence[int]) -> bool:
         return len(self.normal_form(word)) == len(tuple(word))
 
+    # -- the action of W on one vector ------------------------------------
+
+    def _cartan_rows(self):
+        """(ring, rows): rows[s] lists the (t, A[s][t]) with t != s and
+        A[s][t] != 0, for the Cartan matrix A with s(a_t) = a_t - A[s][t] a_s
+        (see the module docstring)."""
+        if self._cartan is None:
+            bonds = {m for row in self.matrix for m in row} - {1, 2}
+            if bonds <= _INTEGRAL_SPLIT.keys():
+                ring = _Integers()
+
+                def entry(s, t, m):
+                    return _INTEGRAL_SPLIT[m][s > t]
+            else:
+                M = lcm(*(m for m in bonds if m not in (3, None)))
+                ring = _RealCyclotomic(M)
+
+                def entry(s, t, m):  # -2cos(pi/m): -1 for m = 3, -2 for m = inf
+                    two_cos = ring.one if m == 3 else ring.two_cos(0 if m is None else M // m)
+                    return ring.const(ring.neg(two_cos))
+            rows = tuple(tuple((t, entry(s, t, m)) for t, m in enumerate(row)
+                               if t != s and m != 2)
+                         for s, row in enumerate(self.matrix))
+            self._cartan = ring, rows
+        return self._cartan
+
+    def _coset_step(self, r: tuple, s: int) -> Tuple[int, tuple]:
+        """(sign of r_s, the coset vector r s): the action of s on the coset
+        of W_I\\W with coset vector r (module docstring)."""
+        ring, rows = self._cartan_rows()
+        x = r[s]
+        sign = ring.sign(x)
+        if not sign:
+            return 0, r
+        out = list(r)
+        out[s] = ring.neg(x)
+        for t, a in rows[s]:
+            out[t] = ring.submul(out[t], a, x)
+        return sign, tuple(out)
+
+    def _coset_vector(self, I: Iterable[int], word: Sequence[int] = ()) -> tuple:
+        """The coset vector of W_I w, w spelled by `word`."""
+        ring, _ = self._cartan_rows()
+        r = tuple(ring.zero if j in I else ring.one for j in range(self.rank))
+        for s in word:
+            r = self._coset_step(r, s)[1]
+        return r
+
+    def _root(self, word: Sequence[int], s: int) -> tuple:
+        """w(a_s), w spelled by `word`, over the simple roots: the positive
+        root of the reflection w s w^-1 when ws is longer than w."""
+        ring, rows = self._cartan_rows()
+        v = [ring.zero] * self.rank
+        v[s] = ring.one
+        for i in reversed(word):
+            x = ring.neg(v[i])
+            for t, a in rows[i]:
+                x = ring.submul(x, a, v[t])
+            v[i] = x
+        return tuple(v)
+
     # -- element enumeration ---------------------------------------------
 
     @property
@@ -178,22 +425,32 @@ class CoxeterSystem:
 
         The I-reduced elements are closed under prefixes (Björner-Brenti,
         GTM 231, ch. 2), so each length is reached from the one below by the
-        right multiplications that lengthen and stay I-reduced: the walk
-        never visits the rest of W.  An infinite W needs max_length or
-        max_elements.
+        right multiplications that lengthen and stay I-reduced, read off the
+        coset vectors (module docstring): the walk never visits the rest of
+        W.  ShortLex words are closed under prefixes too, so the word of an
+        element is the least word(u) + (s,) over the u below it with us = w;
+        reading the level below in order, it is the first one found.  An
+        infinite W needs max_length or max_elements.
         """
         if max_length is None and max_elements is None and not self.is_finite():
             raise CoxeterError("max_length required for an infinite system")
-        I = frozenset(I)
 
-        def up(w):
-            for s in range(self.rank):
-                ws = self._mult_gen(w, s)
-                if len(ws) > len(w) and (
-                        not I or I.isdisjoint(CoxElem(self, ws).descents("left"))):
-                    yield ws
+        def levels():
+            level, length = {self._coset_vector(frozenset(I)): ()}, 0
+            while level:
+                yield level.values()
+                if length == max_length:
+                    return
+                length += 1
+                up = {}
+                for r, word in level.items():
+                    for s in range(self.rank):
+                        sign, rs = self._coset_step(r, s)
+                        if sign > 0:
+                            up.setdefault(rs, word + (s,))
+                level = up
 
-        words = chain.from_iterable(_by_length([()], up, max_length))
+        words = chain.from_iterable(levels())
         return (CoxElem(self, w) for w in islice(words, max_elements))
 
     def elements(self) -> list:
@@ -571,21 +828,34 @@ def named_system(name: str) -> CoxeterSystem:
 
 
 def system_from_json(doc) -> CoxeterSystem:
-    """{"rank": n, "m": [[...]], "labels": [...]}; null/0/"inf" mean infinity."""
+    """{"rank": n, "m": [[...]], "labels": [...]}; null/0/"inf" mean infinity.
+
+    Every malformed document raises CoxeterError: an entry must be an
+    integer (not 3.7, not true) or one of the three infinities."""
     if isinstance(doc, str):
-        doc = json.loads(doc)
-    rank = doc["rank"]
-    raw = doc["m"]
+        try:
+            doc = json.loads(doc)
+        except json.JSONDecodeError as exc:
+            raise CoxeterError(f"invalid JSON: {exc}") from None
+    if not isinstance(doc, dict) or "rank" not in doc or "m" not in doc:
+        raise CoxeterError('expected an object {"rank": n, "m": [[...]], "labels": [...]}')
+    rank, raw = doc["rank"], doc["m"]
+    if not isinstance(raw, list) or not all(isinstance(row, list) for row in raw):
+        raise CoxeterError('"m" must be a list of rows')
     if len(raw) != rank:
         raise CoxeterError("rank does not match matrix size")
 
     def entry(v):
-        if v is None or v == 0 or v == "inf":
+        if v is None or v == "inf" or (type(v) is int and v == 0):
             return None
-        return int(v)
+        if type(v) is not int:
+            raise CoxeterError(f'matrix entry {v!r} is not an integer, null, 0 or "inf"')
+        return v
 
-    matrix = [[entry(v) for v in row] for row in raw]
-    return CoxeterSystem(matrix, labels=doc.get("labels"))
+    labels = doc.get("labels")
+    if labels is not None and not isinstance(labels, list):
+        raise CoxeterError('"labels" must be a list')
+    return CoxeterSystem([[entry(v) for v in row] for row in raw], labels=labels)
 
 
 def load_system(spec: str) -> CoxeterSystem:

@@ -165,17 +165,34 @@ class CosetTable:
       (DOWN, j)  when s is a right descent of rep_k, rep_j = rep_k s;
       (CONJ, t)  when rep_k s is longer but not I-reduced: rep_k s = t rep_k
                  with t the single left descent of rep_k s in I (Deodhar).
-    The kernel computes a transition the first time it is read; a
-    representative reached past the given ones gets the next id.
+    A transition is read off the coset vector of rep k (`coxeter`) the first
+    time it is asked for.  A representative reached past the given ones gets
+    the next id; its ShortLex word is the one product rep_k * s that the
+    kernel makes here.
     """
 
     def __init__(self, system: CoxeterSystem, I, reps: Iterable[CoxElem]):
         self.system = system
         self.I = frozenset(I)
-        self.reps = list(reps)
-        self.ids = {w.word: k for k, w in enumerate(self.reps)}
+        self.reps, self.vectors, self.ids = [], [], {}
+        # in a walk, the longest proper prefix of a rep comes before it, and
+        # the rep's coset vector is one step from the prefix's
+        by_word = {}
+        for w in reps:
+            k = by_word.get(w.word[:-1]) if w.word else None
+            if k is None:
+                r = system._coset_vector(self.I, w.word)
+            else:
+                r = system._coset_step(self.vectors[k], w.word[-1])[1]
+            by_word[w.word] = self._add(w, r)
         self.walked = len(self.reps)
         self.moves = {}
+
+    def _add(self, rep: CoxElem, r: tuple) -> int:
+        self.ids[r] = len(self.reps)
+        self.reps.append(rep)
+        self.vectors.append(r)
+        return self.ids[r]
 
     def step(self, k: int, s: int) -> Tuple[str, int]:
         if (k, s) not in self.moves:
@@ -183,16 +200,14 @@ class CosetTable:
         return self.moves[k, s]
 
     def _fill(self, k: int, s: int) -> Tuple[str, int]:
-        rep = self.reps[k]
-        ws = rep * self.system.gen(s)
-        up = len(ws) > len(rep)
-        if up and (d := self.I and ws.descents("left") & self.I):
-            t, = d
-            return CONJ, t
-        if ws.word not in self.ids:
-            self.ids[ws.word] = len(self.reps)
-            self.reps.append(ws)
-        return (UP if up else DOWN), self.ids[ws.word]
+        sign, r = self.system._coset_step(self.vectors[k], s)
+        if not sign:
+            root = self.system._root(self.reps[k].word, s)
+            return CONJ, next(t for t in self.I if self.system._root((), t) == root)
+        j = self.ids.get(r)
+        if j is None:
+            j = self._add(self.reps[k] * self.system.gen(s), r)
+        return (UP if sign > 0 else DOWN), j
 
     def climb(self, k: int, word: Sequence[int]) -> int:
         """The id of rep_k * word, raising CoxeterError unless every letter
@@ -271,19 +286,14 @@ def presentation_generators(system: CoxeterSystem, I,
 def minimal_generating_set(system: CoxeterSystem, I,
                            max_length: Optional[int] = None) -> List[PureGenerator]:
     """One a_{b,s} per reflection b s b^{-1} outside W_I, with the shortest
-    (then ShortLex-least) base; these already generate D_I together with I."""
-    from .coxeter import in_parabolic
+    (then ShortLex-least) base; these already generate D_I together with I.
 
-    I = tuple(sorted(set(I)))
+    b s is I-reduced, so the reflection lies outside W_I; it is keyed by its
+    positive root b(a_s), and the generators come in symbol_key order."""
     best = {}
     for g in presentation_generators(system, I, max_length):
-        t = g.reflection()
-        if in_parabolic(t, I):
-            continue
-        cur = best.get(t)
-        if cur is None or (len(g.base), g.base.word) < (len(cur.base), cur.base.word):
-            best[t] = g
-    return sorted(best.values(), key=lambda g: symbol_key(g.symbol))
+        best.setdefault(system._root(g.base.word, g.gen), g)
+    return list(best.values())
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,16 @@
 import itertools
 import json
+import math
+import random
 
+import mpmath
 import pytest
 
 from purebraid.coxeter import (
+    CoxElem,
     CoxeterError,
     CoxeterSystem,
+    _RealCyclotomic,
     coset_rep,
     exchange_witness,
     in_parabolic,
@@ -227,6 +232,90 @@ def test_walk_of_I_reduced_elements_is_the_filter_of_W(name, max_length):
         assert walked == [w for w in W if is_I_reduced(w, I)], I
 
 
+def _closure_walk(system, I, max_length=None):
+    """The walk of W^I by braid-move-closure products, as the walk was
+    before it read coset vectors: the sorted set of the lengthening, still
+    I-reduced right products of each level."""
+    I = frozenset(I)
+
+    def up(w):
+        for s in range(system.rank):
+            ws = system._mult_gen(w, s)
+            if len(ws) > len(w) and I.isdisjoint(CoxElem(system, ws).descents("left")):
+                yield ws
+
+    level, out = [()], []
+    while level and (max_length is None or len(level[0]) <= max_length):
+        out += level
+        if len(level[0]) == max_length:
+            break
+        level = sorted({v for w in level for v in up(w)})
+    return [CoxElem(system, w) for w in out]
+
+
+def _triangle(a, b, c):
+    return system_from_json(json.dumps({"rank": 3, "m": [[1, a, b], [a, 1, c], [b, c, 1]]}))
+
+
+@pytest.mark.parametrize("system, max_length", [
+    *((named_system(n), None) for n in WALKED + ("I2(7)", "I2(8)")),
+    (named_system("Atilde2"), 6),
+    (_triangle(7, None, 2), 7),
+    (_triangle(7, 3, None), 6),
+    (_triangle(4, 4, 3), 7),
+    (_triangle(5, 5, 5), 6),
+], ids=[*WALKED, "I2(7)", "I2(8)", "Atilde2", "7-inf-2", "7-3-inf", "4-4-3", "5-5-5"])
+def test_walk_matches_the_closure_walk(system, max_length):
+    for I in _subsets(system.rank):
+        assert list(system.enumerate_elements(max_length, I=I)) \
+            == _closure_walk(system, I, max_length), I
+
+
+@pytest.mark.parametrize("M", [5, 7, 8, 12, 20, 35])
+@mpmath.workdps(200)
+def test_ring_sign_and_equality_against_high_precision(M):
+    # a nonzero element with coefficients in [-5, 5] has a norm that is a
+    # nonzero integer, and each of its d - 1 other conjugates is below
+    # 5 * 2^d in size, so its size exceeds (5 * 2^d)^-(d-1) >= 1e-60 for
+    # d <= 12: far above the margin of 1e-100, itself far above the error
+    # of a 200-digit evaluation with coefficients below 1e80.  The near
+    # misses below are checked against the margin directly.
+    margin = mpmath.mpf(10) ** -100
+    theta = 2 * mpmath.cos(mpmath.pi / M)
+    ring = _RealCyclotomic(M)
+    d = ring.d
+    assert 2 * d == sum(1 for k in range(2 * M) if math.gcd(k, 2 * M) == 1)
+    assert abs(mpmath.polyval(ring.poly[::-1], theta)) < margin
+
+    def value(x):
+        return sum(c * theta ** k for k, c in enumerate(x))
+
+    rng = random.Random(M)
+    samples = [tuple(rng.randint(-5, 5) for _ in range(d)) for _ in range(300)]
+    samples += [ring.zero, ring.one, ring.neg(ring.one)]
+    # near misses p - q theta, for the continued-fraction convergents p/q of
+    # theta: far closer to 0 than a float can sign
+    p0, q0, p1, q1, x = 1, 0, int(theta), 1, theta
+    for _ in range(60):
+        samples.append((p1, -q1) + (0,) * (d - 2))
+        x = 1 / (x - int(x))
+        p0, q0, p1, q1 = p1, q1, int(x) * p1 + p0, int(x) * q1 + q0
+    assert max(abs(c) for x in samples for c in x) < 10 ** 80
+    for x in samples:
+        v = value(x)
+        assert abs(v) > margin or not any(x)
+        assert ring.sign(x) == (v > 0) - (v < 0), x
+    assert max(ring._bounds) > 64  # some signs needed more than 64 bits
+    for x, y in zip(samples, samples[1:]):
+        assert (x == y) == (abs(value(x) - value(y)) < margin)
+        for j in (1, M - 1):
+            c = ring.two_cos(j)
+            z = ring.submul(x, ring.const(c), y)
+            assert abs(value(z) - (value(x) - value(c) * value(y))) < margin
+    for j in range(2 * M + 1):
+        assert abs(value(ring.two_cos(j)) - 2 * mpmath.cos(j * mpmath.pi / M)) < margin
+
+
 def test_walk_guard_and_caps():
     affine = named_system("Atilde2")
     with pytest.raises(CoxeterError):
@@ -299,6 +388,44 @@ def test_system_from_json_and_load():
     assert load_system("B2").matrix == named_system("B2").matrix
     loaded = load_system(json.dumps(doc))
     assert loaded.labels == ("u", "v")
+
+
+_RANK2 = {"rank": 2, "m": [[1, 3], [3, 1]]}
+
+
+@pytest.mark.parametrize("doc", [
+    '{"rank": 2, "m": [[1, 3.7], [3.7, 1]]}',  # not read as 3
+    '{"rank": 2, "m": [[1, true], [true, 1]]}',
+    '{"rank": 2, "m": [[1, "x"], ["x", 1]]}',
+    '{"rank": 2}',
+    '{"m": [[1]]}',
+    '[1]',
+    '{"rank": 2, "m": [1, 2]}',
+    '{"rank": 3, "m": [[1, 3], [3, 1]]}',
+    '{"rank": 2, "m": [[1, 3], [3',
+    json.dumps(dict(_RANK2, labels=["a", "a"])),  # s2 could not be named
+    json.dumps(dict(_RANK2, labels=["a b", "c"])),  # could not be parsed
+    json.dumps(dict(_RANK2, labels=["e", "c"])),  # the printed identity
+    json.dumps(dict(_RANK2, labels=["", "c"])),
+    json.dumps(dict(_RANK2, labels=[1, "c"])),
+    json.dumps(dict(_RANK2, labels="ab")),
+    json.dumps(dict(_RANK2, labels=["a"])),
+], ids=["float", "bool", "string-entry", "no-m", "no-rank", "list", "flat-m",
+        "rank-mismatch", "truncated", "repeated-label", "label-with-space",
+        "label-e", "empty-label", "int-label", "labels-string", "too-few-labels"])
+def test_malformed_systems_raise_coxeter_error(doc):
+    with pytest.raises(CoxeterError):
+        system_from_json(doc)
+    with pytest.raises(CoxeterError):
+        load_system(doc)
+
+
+def test_labels_are_checked_by_the_constructor():
+    for labels in (["a", "a"], ["a\tb", "c"], ["e", "f"], ["", "f"]):
+        with pytest.raises(CoxeterError):
+            CoxeterSystem([[1, 3], [3, 1]], labels=labels)
+    system = CoxeterSystem([[1, 3], [3, 1]], labels=["a", "b"])
+    assert system.parse_word("b a") == (1, 0)
 
 
 def test_parse_and_word_str_roundtrip():

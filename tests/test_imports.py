@@ -45,3 +45,30 @@ def test_detects_unused_imports():
     source = ("from __future__ import annotations\nimport os\nimport os.path as osp\n"
               "from json import dumps, loads\n\ndef f() -> 'Path':\n    return dumps(1)\n")
     assert unused_imports(source) == ["loads (line 4)", "os (line 2)", "osp (line 3)"]
+
+
+def imported_modules(source: str) -> set:
+    """The modules a source imports, relative ones under the package name."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            out |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            base = ("purebraid." if node.level else "") + (node.module or "")
+            base = base.rstrip(".")
+            out |= {base} | {f"{base}.{alias.name}" for alias in node.names}
+    return out
+
+
+def test_kernel_does_not_import_its_oracles():
+    # the oracles check the kernel, so the kernel keeps its own arithmetic
+    source = (SRC / "coxeter.py").read_text(encoding="utf-8")
+    assert not any(m == "purebraid.oracles" or m.startswith("purebraid.oracles.")
+                   for m in imported_modules(source))
+
+
+def test_detects_imports_of_the_oracles():
+    for source in ("from .oracles import MatrixOracle\n", "from . import oracles\n",
+                   "import purebraid.oracles\n", "from purebraid.oracles import x\n"):
+        assert "purebraid.oracles" in imported_modules(source), source
+    assert "purebraid.oracles" not in imported_modules("from .coxeter import oracles_of\n")

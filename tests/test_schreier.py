@@ -23,6 +23,7 @@ from purebraid.coxeter import (
     coset_rep,
     is_I_reduced,
     named_system,
+    reflections,
 )
 from purebraid.nmap import SemidirectElem, ZTVector, eval_Np, nbar
 from purebraid.schreier import (
@@ -90,6 +91,24 @@ def test_minimal_generating_set_counts():
         gens = minimal_generating_set(system, I)
         assert len(gens) == expected
         assert len({g.reflection() for g in gens}) == expected
+
+
+# |T| where `reflections` (the braid-move closure) does not finish: H4 has
+# Coxeter number 30, so 4 * 30 / 2 reflections
+H4_REFLECTIONS = 60
+
+
+@pytest.mark.parametrize("name", ["H3", "H4", "I2(5)", "I2(7)", "B3", "F4", "D4"])
+def test_one_positive_root_per_reflection(name):
+    # the positive roots b(a_s) of the UP steps of the walk of W are one
+    # per reflection; a Cartan split that is not symmetric on odd bonds
+    # gives conjugate generators roots in different ratios, and more keys
+    system = named_system(name)
+    table = CosetTable(system, (), system.enumerate_elements())
+    keys = {system._root(table.reps[k].word, s)
+            for k in range(table.walked) for s in range(system.rank)
+            if table.step(k, s)[0] == UP}
+    assert len(keys) == (H4_REFLECTIONS if name == "H4" else len(reflections(system)))
 
 
 def test_minimal_generators_realize_nbar_of_bI():
@@ -408,6 +427,34 @@ def test_devissage_standard_chains():
         assert chain.total_pure == sum(counts)
         doc = chain.to_json()
         assert doc["total_pure_generators"] == sum(counts)
+
+
+@pytest.mark.parametrize("name, reflection_count", [
+    ("H4", 60), ("F4", 24), ("E6", 36), ("D5", 20), ("A6", 21), ("B5", 25),
+])
+def test_devissage_totals_the_reflections(name, reflection_count):
+    system = named_system(name)
+    chain = devissage(system, standard_chain(system))
+    assert chain.total_pure == sum(lvl["count"] for lvl in chain.levels) \
+        == reflection_count
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "H3", "D4", "I2(5)", "I2(7)"])
+def test_schreier_rewriting_never_runs_the_closure(name, monkeypatch):
+    calls = []
+    braid_class = CoxeterSystem.braid_class
+    monkeypatch.setattr(CoxeterSystem, "braid_class",
+                        lambda self, word: calls.append(1) or braid_class(self, word))
+    runs = [lambda s: presentation_pure(s),
+            lambda s: devissage(s, standard_chain(s))]
+    for i in range(named_system(name).rank):
+        runs += [lambda s, i=i: presentation_DI(s, (i,)),
+                 lambda s, i=i: crosscheck_closed_vs_raw(s, (i,)),
+                 lambda s, i=i: semidirect_split(s, (i,))]
+    for run in runs:
+        system = named_system(name)
+        run(system)
+        assert calls == [] and system._class_cache == {}
 
 
 def test_devissage_rejects_bad_chains():
