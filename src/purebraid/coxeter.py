@@ -88,19 +88,18 @@ _INTEGRAL_SPLIT = {3: (-1, -1), 4: (-1, -2), 6: (-1, -3), None: (-2, -2)}
 class _RealCyclotomic:
     """Z[theta], theta = 2cos(pi/M) for M >= 4, as integer vectors over the
     power basis 1, theta, ..., theta^(d-1) (d = phi(2M)/2): equality is
-    equality of vectors.  A Cartan entry is kept as the integer matrix of
-    multiplication by it.
+    equality of vectors.  A Cartan entry is kept as the nonzero entries
+    (row, column, entry) of the integer matrix of multiplication by it:
+    multiplication by theta has about 2d of them.
 
     The sign is exact.  theta >= 1, so a vector with no negative (no
     positive) coordinate is positive (negative).  Otherwise the element is
     bounded by integer brackets of theta^k 2^bits, with twice the bits until
     the bracket of the element excludes 0; it does, the element being
-    nonzero.  theta is bracketed by bisection with exact signs of its minimal
-    polynomial psi, from the interval [q, 2] with q = 2 - (3.1416/M)^2: psi
-    is monic, all its roots 2cos(k pi/M) (k prime to 2M) are real, theta is
-    the largest, and 2cos(3 pi/M) < q - 2^-64 <= theta (Taylor bounds of
-    cos; M below 10^9), so psi <= 0 exactly on the part of [q, 2] below
-    theta.
+    nonzero.  The brackets come from pi by Machin's formula and 2cos(pi/M)
+    by its Taylor series, in integer interval arithmetic: every quantity is
+    positive, lower ends are rounded down and upper ends up, and each
+    alternating series stops at a term below one unit.
     """
 
     def __init__(self, M: int):
@@ -129,9 +128,9 @@ class _RealCyclotomic:
         return self._reduce(prev)
 
     def const(self, x: tuple) -> tuple:
-        """The matrix of multiplication by x, as a tuple of rows."""
-        cols = [self._reduce([0] * k + list(x)) for k in range(self.d)]
-        return tuple(zip(*cols))
+        """The nonzero entries of the matrix of multiplication by x."""
+        return tuple((i, k, v) for k in range(self.d)
+                     for i, v in enumerate(self._reduce([0] * k + list(x))) if v)
 
     @staticmethod
     def neg(x):
@@ -139,7 +138,10 @@ class _RealCyclotomic:
 
     @staticmethod
     def submul(y, a, x):
-        return tuple(c - sum(p * q for p, q in zip(row, x)) for c, row in zip(y, a))
+        out = list(y)
+        for i, k, v in a:
+            out[i] -= v * x[k]
+        return tuple(out)
 
     def sign(self, x) -> int:
         if min(x) >= 0:
@@ -148,9 +150,12 @@ class _RealCyclotomic:
             return -1
         bits = 64
         while True:
-            lo_pow, hi_pow = self._power_bounds(bits)
-            lo = sum(c * (lo_pow[k] if c > 0 else hi_pow[k]) for k, c in enumerate(x))
-            hi = sum(c * (hi_pow[k] if c > 0 else lo_pow[k]) for k, c in enumerate(x))
+            lo = hi = 0
+            for c, p_lo, p_hi in zip(x, *self._power_bounds(bits)):
+                if c > 0:
+                    lo, hi = lo + c * p_lo, hi + c * p_hi
+                elif c < 0:
+                    lo, hi = lo + c * p_hi, hi + c * p_lo
             if lo > 0:
                 return 1
             if hi < 0:
@@ -160,30 +165,53 @@ class _RealCyclotomic:
     def _power_bounds(self, bits: int):
         """Integers lo_k <= theta^k 2^bits <= hi_k for k < d."""
         if bits not in self._bounds:
-            guard = bits + 2 * self.d + 8
-            L = self._theta_floor(guard)
-            lo, hi = [1 << bits], [1 << bits]
-            for k in range(1, self.d):
-                shift = k * guard - bits
-                lo.append(L ** k >> shift)
-                hi.append(-(-(L + 1) ** k >> shift))
+            g = bits + self.d + 2 * (bits + self.d).bit_length() + 16
+            t_lo, t_hi = self._theta_bracket(g)
+            p_lo = p_hi = 1 << g
+            lo, hi = [], []
+            for _ in range(self.d):
+                lo.append(p_lo >> (g - bits))
+                hi.append(-(-p_hi >> (g - bits)))
+                p_lo, p_hi = p_lo * t_lo >> g, -(-p_hi * t_hi >> g)
             self._bounds[bits] = (lo, hi)
         return self._bounds[bits]
 
-    def _theta_floor(self, bits: int) -> int:
-        """The integer L with L <= theta 2^bits < L + 1."""
-        scale = (10000 * self.M) ** 2
-        lo, hi = ((2 * scale - 31416 ** 2) << bits) // scale, 2 << bits
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            value = 0  # psi(mid / 2^bits) 2^(d bits), by Horner
-            for k, p in enumerate(reversed(self.poly)):
-                value = value * mid + (p << (bits * k))
-            if value <= 0:
-                lo = mid
-            else:
-                hi = mid
-        return lo
+    def _theta_bracket(self, g: int) -> Tuple[int, int]:
+        """Integers lo <= theta 2^g <= hi (see the class docstring)."""
+        def alternating(terms):
+            # sum of an alternating series of decreasing positive terms,
+            # each given as a bracket (a, b)
+            lo = hi = 0
+            for k, (a, b) in enumerate(terms):
+                if b <= 1:  # this term and the tail are within one unit
+                    return lo - 1, hi + 1
+                lo, hi = (lo + a, hi + b) if k % 2 == 0 else (lo - b, hi - a)
+
+        def atan_inv(n):  # atan(1/n) 2^g; floor(floor(x)/m) = floor(x/m)
+            def terms():
+                power, k = (1 << g) // n, 0
+                while True:
+                    yield power // (2 * k + 1), power // (2 * k + 1) + 1
+                    power, k = power // (n * n), k + 1
+            return alternating(terms())
+
+        a_lo, a_hi = atan_inv(5)
+        b_lo, b_hi = atan_inv(239)
+        x_lo = (16 * a_lo - 4 * b_hi) // self.M  # pi/M, below 1
+        x_hi = -(-(16 * a_hi - 4 * b_lo) // self.M)
+        x2_lo, x2_hi = x_lo * x_lo >> g, -(-x_hi * x_hi >> g)
+
+        def cos_terms():  # x^(2k) / (2k)!
+            t_lo = t_hi = 1 << g
+            k = 0
+            while True:
+                yield t_lo, t_hi
+                k += 1
+                m = (2 * k - 1) * (2 * k) << g
+                t_lo, t_hi = t_lo * x2_lo // m, -(-t_hi * x2_hi // m)
+
+        c_lo, c_hi = alternating(cos_terms())
+        return 2 * c_lo, 2 * c_hi
 
 
 def _min_poly_2cos(M: int) -> list:

@@ -187,6 +187,7 @@ class CosetTable:
             by_word[w.word] = self._add(w, r)
         self.walked = len(self.reps)
         self.moves = {}
+        self.simple_roots = {system._root((), t): t for t in self.I}
 
     def _add(self, rep: CoxElem, r: tuple) -> int:
         self.ids[r] = len(self.reps)
@@ -202,8 +203,7 @@ class CosetTable:
     def _fill(self, k: int, s: int) -> Tuple[str, int]:
         sign, r = self.system._coset_step(self.vectors[k], s)
         if not sign:
-            root = self.system._root(self.reps[k].word, s)
-            return CONJ, next(t for t in self.I if self.system._root((), t) == root)
+            return CONJ, self.simple_roots[self.system._root(self.reps[k].word, s)]
         j = self.ids.get(r)
         if j is None:
             j = self._add(self.reps[k] * self.system.gen(s), r)
@@ -289,10 +289,21 @@ def minimal_generating_set(system: CoxeterSystem, I,
     (then ShortLex-least) base; these already generate D_I together with I.
 
     b s is I-reduced, so the reflection lies outside W_I; it is keyed by its
-    positive root b(a_s), and the generators come in symbol_key order."""
+    positive root b(a_s).  Coordinate j of b(a_s) is entry s of the coset
+    vector of b for the parabolic on S - {j}, whose linear form reads
+    coordinate j; in the walk, these vectors of b are one step from those
+    of its longest proper prefix.  The generators come in symbol_key order,
+    so the first one per root is kept."""
+    I = tuple(sorted(set(I)))
+    walk = list(system.enumerate_elements(max_length, I=I))
+    frames = {}
+    for w in walk:
+        frames[w.word] = ([system._coset_step(r, w.word[-1])[1] for r in frames[w.word[:-1]]]
+                          if w.word else [system._coset_vector(set(range(system.rank)) - {j})
+                                          for j in range(system.rank)])
     best = {}
-    for g in presentation_generators(system, I, max_length):
-        best.setdefault(system._root(g.base.word, g.gen), g)
+    for g in CosetTable(system, I, walk).generators():
+        best.setdefault(tuple(r[g.gen] for r in frames[g.base.word]), g)
     return list(best.values())
 
 
