@@ -109,6 +109,7 @@ def test_one_positive_root_per_reflection(name):
             for k in range(table.walked) for s in range(system.rank)
             if table.step(k, s)[0] == UP}
     assert len(keys) == (H4_REFLECTIONS if name == "H4" else len(reflections(system)))
+    assert len(minimal_generating_set(system, ())) == len(keys)
 
 
 def test_minimal_generators_realize_nbar_of_bI():
