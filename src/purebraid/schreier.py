@@ -296,11 +296,14 @@ def minimal_generating_set(system: CoxeterSystem, I,
     so the first one per root is kept."""
     I = tuple(sorted(set(I)))
     walk = list(system.enumerate_elements(max_length, I=I))
+    gens = range(system.rank)
     frames = {}
     for w in walk:
-        frames[w.word] = ([system._coset_step(r, w.word[-1])[1] for r in frames[w.word[:-1]]]
-                          if w.word else [system._coset_vector(set(range(system.rank)) - {j})
-                                          for j in range(system.rank)])
+        if w.word:
+            frames[w.word] = [system._coset_step(r, w.word[-1])[1]
+                              for r in frames[w.word[:-1]]]
+        else:
+            frames[()] = [system._coset_vector(set(gens) - {j}) for j in gens]
     best = {}
     for g in CosetTable(system, I, walk).generators():
         best.setdefault(tuple(r[g.gen] for r in frames[g.base.word]), g)
