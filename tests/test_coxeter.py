@@ -194,6 +194,32 @@ def test_make_reflection_and_conjugation():
     assert is_reflection(conj)
 
 
+def _palindrome_by_class_scan(el):
+    """(u, s) from the ShortLex-least palindrome u s u~ among the reduced
+    words of el, found by scanning its braid-move class; None if there is
+    none, so that el is not a reflection."""
+    if len(el) % 2 == 0:
+        return None
+    pal = [w for w in el.reduced_words() if w == w[::-1]]
+    if not pal:
+        return None
+    w = min(pal)
+    n = len(w) // 2
+    return el.system.normal_form(w[:n]), w[n]
+
+
+@pytest.mark.parametrize("name", ["B4", "H3"])
+def test_palindromize_and_is_reflection_match_the_class_scan(name):
+    for w in named_system(name).elements():
+        expected = _palindrome_by_class_scan(w)
+        assert is_reflection(w) == (expected is not None), w
+        if expected is None:
+            with pytest.raises(CoxeterError):
+                palindromize(w)
+        else:
+            assert palindromize(w) == expected, w
+
+
 def test_coset_decomposition():
     system = named_system("B3")
     I = (0, 1)
