@@ -7,7 +7,6 @@ from .coxeter import (
     CoxeterError,
     CoxeterSystem,
     Reflection,
-    conjugate_reflection,
     coset_rep,
     exchange_witness,
     is_I_reduced,

@@ -89,14 +89,19 @@ def _sampler(system: CoxeterSystem, max_length: Optional[int], rng: random.Rando
         tuple(s for level in levels for s in rng.choice(level).word))
 
 
-def _emit(doc, fmt: str, text_fn=None) -> None:
+def _emit(doc, fmt: str) -> None:
     if fmt == "json":
         print(json.dumps(doc, sort_keys=True, indent=2))
     else:
-        print(text_fn(doc) if text_fn else _default_text(doc))
+        print(_default_text(doc))
 
 
-def _default_text(doc, prefix: str = "") -> str:
+def _emit_presentation(p, fmt: str) -> int:
+    print(p.to_text() if fmt == "text" else json.dumps(p.to_json(), sort_keys=True, indent=2))
+    return 0
+
+
+def _default_text(doc) -> str:
     lines = []
 
     def walk(node, indent):
@@ -157,23 +162,15 @@ def cmd_present(args) -> int:
     system = _system(args.type)
     _need_cap(system, args.max_length)
     I = _parse_I(system, args.I)
-    p = presentation_DI(system, I, max_length=args.max_length)
-    if args.format == "text":
-        print(p.to_text())
-    else:
-        print(json.dumps(p.to_json(), sort_keys=True, indent=2))
-    return 0
+    return _emit_presentation(presentation_DI(system, I, max_length=args.max_length),
+                              args.format)
 
 
 def cmd_pure_present(args) -> int:
     system = _system(args.type)
     _need_cap(system, args.max_length)
-    p = presentation_pure(system, max_length=args.max_length)
-    if args.format == "text":
-        print(p.to_text())
-    else:
-        print(json.dumps(p.to_json(), sort_keys=True, indent=2))
-    return 0
+    return _emit_presentation(presentation_pure(system, max_length=args.max_length),
+                              args.format)
 
 
 def cmd_devissage(args) -> int:
@@ -290,12 +287,13 @@ def build_parser() -> argparse.ArgumentParser:
                     "presentations, free actions and the B-to-A embedding.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_type=True, max_length=False):
+    def common(p, needs_type=True, max_length=False, seed=False):
         if needs_type:
             p.add_argument("--type", required=True,
                            help="named system, e.g. A3, B2, I2(5), D4, Atilde2")
         p.add_argument("--format", choices=("json", "text"), default="json")
-        p.add_argument("--seed", type=int, default=0)
+        if seed:
+            p.add_argument("--seed", type=int, default=0)
         if max_length:
             p.add_argument("--max-length", type=_count, default=None)
 
@@ -323,27 +321,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_devissage)
 
     p = sub.add_parser("verify-actions", help="braid relations of an action model")
-    common(p, needs_type=False)
+    common(p, needs_type=False, seed=True)
     p.add_argument("--kind", required=True, choices=("A", "B", "B_ab", "I2", "D"))
     p.add_argument("--n", required=True, type=int)
     p.add_argument("--samples", type=_count, default=100)
     p.set_defaults(fn=cmd_verify_actions)
 
     p = sub.add_parser("verify-embedding", help="equivariance/index-2/round-trip certificates")
-    common(p, needs_type=False)
+    common(p, needs_type=False, seed=True)
     p.add_argument("--n", required=True, type=int)
     p.add_argument("--samples", type=_count, default=200)
     p.set_defaults(fn=cmd_verify_embedding)
 
     p = sub.add_parser("cocycle", help="extension cocycle: evaluate or verify")
-    common(p, max_length=True)
+    common(p, max_length=True, seed=True)
     p.add_argument("--v", default=None)
     p.add_argument("--w", default=None)
     p.add_argument("--samples", type=_count, default=200)
     p.set_defaults(fn=cmd_cocycle)
 
     p = sub.add_parser("oracle-check", help="cross-check element arithmetic against an oracle")
-    common(p, max_length=True)
+    common(p, max_length=True, seed=True)
     p.add_argument("--samples", type=_count, default=1000)
     p.set_defaults(fn=cmd_oracle_check)
 

@@ -21,7 +21,8 @@ longer and I-reduced; r_s < 0, ws is shorter; r_s = 0, ws = tw for the t in
 I with w(a_s) = a_t (Deodhar).  The Cartan matrix A is integral when every
 bond lies in {2, 3, 4, 6, inf}; otherwise it is the symmetric matrix of
 -2cos(pi/m) over the exact ring Z[2cos(pi/M)], with signs certified in
-integers.
+integers.  The same walk reads the positive roots w(a_s), and with them the
+reflections (`reflections`).
 
 Finiteness is decided exactly from the Coxeter graph by the classification
 of the finite Coxeter groups (Coxeter 1935; Humphreys, Reflection Groups and
@@ -45,17 +46,6 @@ class CoxeterError(ValueError):
 def _alt(s: int, t: int, length: int) -> tuple:
     """Alternating word s t s t ... with `length` letters, starting with s."""
     return tuple(s if i % 2 == 0 else t for i in range(length))
-
-
-def _by_length(level: list, up, max_length: Optional[int]) -> Iterator[list]:
-    """Breadth-first walk: `level` (of one length), then the sorted set of
-    up(w) over it, and so on while lengths stay <= max_length.  `up` must
-    lengthen every element by the same amount, so no level is seen twice."""
-    while level and (max_length is None or len(level[0]) <= max_length):
-        yield level
-        if len(level[0]) == max_length:
-            return
-        level = sorted({v for w in level for v in up(w)})
 
 
 # ---------------------------------------------------------------------------
@@ -462,24 +452,51 @@ class CoxeterSystem:
         """
         if max_length is None and max_elements is None and not self.is_finite():
             raise CoxeterError("max_length required for an infinite system")
-
-        def levels():
-            level, length = {self._coset_vector(frozenset(I)): ()}, 0
-            while level:
-                yield level.values()
-                if length == max_length:
-                    return
-                length += 1
-                up = {}
-                for r, word in level.items():
-                    for s in range(self.rank):
-                        sign, rs = self._coset_step(r, s)
-                        if sign > 0:
-                            up.setdefault(rs, word + (s,))
-                level = up
-
-        words = chain.from_iterable(levels())
+        levels = self._levels(frozenset(I), max_length)
+        words = chain.from_iterable(level.values() for level in levels)
         return (CoxElem(self, w) for w in islice(words, max_elements))
+
+    def _levels(self, I: frozenset, max_length: Optional[int]) -> Iterator[dict]:
+        """The walk of `enumerate_elements`, one length at a time up to
+        max_length: {coset vector: ShortLex word}, in ShortLex order."""
+        level, length = {self._coset_vector(I): ()}, 0
+        while level and (max_length is None or length <= max_length):
+            yield level
+            if length == max_length:
+                return
+            length += 1
+            up = {}
+            for r, word in level.items():
+                for s in range(self.rank):
+                    sign, rs = self._coset_step(r, s)
+                    if sign > 0:
+                        up.setdefault(rs, word + (s,))
+            level = up
+
+    def _root_walk(self, I: Iterable[int], max_length: Optional[int]) -> dict:
+        """{b(a_s): (b, s)}: per positive root b(a_s) with b in W^I of length
+        <= max_length and b s longer and I-reduced (r_s > 0 on the coset
+        vector r of b), the least (b, s) by length of b, then ShortLex; b is
+        a CoxElem.  Coordinate j of b(a_s) is entry s of the coset vector of
+        b for the parabolic on S - {j}: these root frames of b are one step
+        from those of its longest proper prefix, one level below."""
+        if max_length is None and not self.is_finite():
+            raise CoxeterError("max_length required for an infinite system")
+        ring, _ = self._cartan_rows()
+        gens = range(self.rank)
+        best, below = {}, {}
+        for level in self._levels(frozenset(I), max_length):
+            frames = {}
+            for r, b in level.items():
+                frames[b] = [self._coset_step(v, b[-1])[1] for v in below[b[:-1]]] if b \
+                    else [self._coset_vector(set(gens) - {j}) for j in gens]
+                for s in gens:
+                    if ring.sign(r[s]) > 0:
+                        root = tuple(v[s] for v in frames[b])
+                        if root not in best:
+                            best[root] = CoxElem(self, b), s
+            below = frames
+        return best
 
     def elements(self) -> list:
         """All elements of a finite system."""
@@ -643,26 +660,33 @@ class Reflection:
 
 
 def palindromize(el: CoxElem) -> tuple:
-    """Witness (u, s) with el = u s u~, found in the braid-move class.
+    """Witness (u, s) with el = u s u~, from the ShortLex-least palindromic
+    reduced word of el.
 
-    By Dyer's palindromization every reduced word of a reflection is braid-move
-    connected to a palindrome; a non-reflection of odd length has none.
-    """
+    A reflection has palindromic reduced words (Dyer), and for a left
+    descent s of a reflection t other than s, s t s is a reflection of
+    length l(t) - 2 (Björner-Brenti, GTM 231, ch. 4).  So the least
+    palindrome of t is s p s for its least left descent s and the least
+    palindrome p of s t s; its half is a ShortLex word."""
     if len(el) % 2 == 0:
         raise CoxeterError(f"{el} has even length, not a reflection")
-    pal = [w for w in el.reduced_words() if w == w[::-1]]
-    if not pal:
-        raise CoxeterError(f"{el} is not a reflection")
-    w = min(pal)
-    n = len(w) // 2
-    u = el.system.normal_form(w[:n])
-    return u, w[n]
+    half, t = [], el
+    while len(t) > 1:
+        s = el.system.gen(min(t.descents("left")))
+        sts = s * t * s
+        if len(sts) != len(t) - 2:
+            raise CoxeterError(f"{el} is not a reflection")
+        half += s.word
+        t = sts
+    return CoxElem(el.system, tuple(half)), t.word[0]
 
 
 def is_reflection(el: CoxElem) -> bool:
-    if len(el) % 2 == 0:
+    try:
+        palindromize(el)
+    except CoxeterError:
         return False
-    return any(w == w[::-1] for w in el.reduced_words())
+    return True
 
 
 def make_reflection(el: CoxElem) -> Reflection:
@@ -675,30 +699,16 @@ def reflections(system: CoxeterSystem, max_length: Optional[int] = None) -> list
     None), by length, ShortLex within a length, each with the witness of
     `make_reflection`.
 
-    The orbit of S is grown by the steps t -> s t s that add 2 to the length.
-    They reach every reflection: for a reflection t other than s with
-    l(st) < l(t), t(a_s) is a negative root other than -a_s, so s t s is a
-    reflection of length l(t) - 2 (Björner-Brenti, GTM 231, ch. 4).
+    A reflection t = b s b^-1 is read off its positive root b(a_s): every
+    b with this root has l(t) <= 2 l(b) + 1, with equality at the u of a
+    palindromic reduced word u s u~ of t (Dyer).  So the least (b, s) per
+    root that `CoxeterSystem._root_walk` keeps, walking b up to length
+    (max_length - 1) // 2, is the half of the ShortLex-least palindrome.
     """
-    if max_length is None and not system.is_finite():
-        raise CoxeterError("max_length required for an infinite system")
-    gens = [system.gen(s) for s in range(system.rank)]
-
-    def up(t):
-        for s in gens:
-            sts = (t * s).inv() * s  # (t s)^-1 = s t, t being an involution
-            if len(sts) > len(t):
-                yield sts
-
-    return [make_reflection(t) for level in _by_length(gens, up, max_length)
-            for t in level]
-
-
-def conjugate_reflection(w: CoxElem, r: Reflection) -> Reflection:
-    """w r w^-1 with a recomputed palindromic witness."""
-    if w.system != r.element.system:
-        raise CoxeterError("elements of different Coxeter systems")
-    return make_reflection(w.conj(r.element))
+    half = None if max_length is None else (max_length - 1) // 2
+    refls = [Reflection(system.normal_form(b.word + (s,) + b.word[::-1]), b, s)
+             for b, s in system._root_walk((), half).values()]
+    return sorted(refls, key=lambda r: r.element)
 
 
 # ---------------------------------------------------------------------------

@@ -26,10 +26,11 @@ from .coxeter import (
     _alt,
     is_I_reduced,
     longest_element,
+    reflections,
     subsystem,
 )
 from .freeword import free_reduce, word_inv
-from .nmap import SemidirectElem, ZTVector, eval_Np
+from .nmap import SemidirectElem, ZTVector, eval_Np, nbar
 
 Symbol = tuple
 Word = Tuple[Tuple[Symbol, int], ...]
@@ -58,6 +59,13 @@ class PureGenerator:
         self.system = system
         self.base = base
         self.gen = gen
+
+    @classmethod
+    def _unchecked(cls, system: CoxeterSystem, base: CoxElem, gen: int) -> "PureGenerator":
+        """a_{b,s} for a b s read as an UP step, the check __init__ makes."""
+        g = object.__new__(cls)
+        g.system, g.base, g.gen = system, base, gen
+        return g
 
     @property
     def symbol(self) -> Symbol:
@@ -253,10 +261,7 @@ class CosetTable:
         for k in range(self.walked):
             for s in range(self.system.rank):
                 if self.step(k, s)[0] == UP:
-                    # the UP step is the check PureGenerator.__init__ makes
-                    g = object.__new__(PureGenerator)
-                    g.system, g.base, g.gen = self.system, self.reps[k], s
-                    out.append(g)
+                    out.append(PureGenerator._unchecked(self.system, self.reps[k], s))
         out.sort(key=lambda g: symbol_key(g.symbol))
         return out
 
@@ -289,25 +294,10 @@ def minimal_generating_set(system: CoxeterSystem, I,
     (then ShortLex-least) base; these already generate D_I together with I.
 
     b s is I-reduced, so the reflection lies outside W_I; it is keyed by its
-    positive root b(a_s).  Coordinate j of b(a_s) is entry s of the coset
-    vector of b for the parabolic on S - {j}, whose linear form reads
-    coordinate j; in the walk, these vectors of b are one step from those
-    of its longest proper prefix.  The generators come in symbol_key order,
-    so the first one per root is kept."""
-    I = tuple(sorted(set(I)))
-    walk = list(system.enumerate_elements(max_length, I=I))
-    gens = range(system.rank)
-    frames = {}
-    for w in walk:
-        if w.word:
-            frames[w.word] = [system._coset_step(r, w.word[-1])[1]
-                              for r in frames[w.word[:-1]]]
-        else:
-            frames[()] = [system._coset_vector(set(gens) - {j}) for j in gens]
-    best = {}
-    for g in CosetTable(system, I, walk).generators():
-        best.setdefault(tuple(r[g.gen] for r in frames[g.base.word]), g)
-    return list(best.values())
+    positive root b(a_s) (`CoxeterSystem._root_walk`), which keeps the
+    generators in symbol_key order."""
+    return [PureGenerator._unchecked(system, b, s)
+            for b, s in system._root_walk(I, max_length).values()]
 
 
 # ---------------------------------------------------------------------------
@@ -917,22 +907,23 @@ def reflections_vs_nbar_check(system: CoxeterSystem, I,
     """Finite W: {p(b s b~) : b s I-reduced} = nbar(w_I w_S).  Infinite W:
     list the reflections (up to max_length) outside W_I with no I-reduced
     witness b s such that b s b~ is a reduced lift."""
-    from .nmap import nbar
-    from .coxeter import in_parabolic, reflections
-
     I = tuple(sorted(set(I)))
-    witnessed = {g.reflection() for g in minimal_generating_set(system, I,
-                                                                max_length)}
     if system.is_finite():
+        witnessed = {g.reflection() for g in minimal_generating_set(system, I,
+                                                                    max_length)}
         target = nbar(max_I_reduced(system, I))
         return {"finite": True, "equal": witnessed == target,
                 "count": len(witnessed),
                 "missing": sorted(str(t) for t in target - witnessed),
                 "extra": sorted(str(t) for t in witnessed - target)}
+    # by positive roots: a reflection lies in W_I iff its root's support
+    # does, and is witnessed iff minimal_generating_set keys its root
+    witnessed = system._root_walk(I, max_length)
+    zero = system._cartan_rows()[0].zero
     missing = []
     for r in reflections(system, max_length=max_length):
-        t = r.element
-        if in_parabolic(t, I) or t in witnessed:
-            continue
-        missing.append(str(t))
+        root = system._root(r.witness_u.word, r.witness_s)
+        if root not in witnessed and any(c != zero for j, c in enumerate(root)
+                                         if j not in I):
+            missing.append(str(r.element))
     return {"finite": False, "count": len(witnessed), "missing": sorted(missing)}

@@ -233,6 +233,11 @@ def test_usage_errors(capsys):
     ["admissible", "--type", "A3", "--set", "s1", "--max-length", "3"],
     ["verify-actions", "--kind", "A", "--n", "2", "--max-length", "3"],
     ["verify-embedding", "--n", "3", "--samples", "5", "--max-length", "2"],
+    ["nmap", "--type", "A2", "--word", "s1", "--seed", "5"],
+    ["admissible", "--type", "A3", "--set", "s1", "--seed", "5"],
+    ["present", "--type", "A3", "--seed", "5"],
+    ["pure-present", "--type", "A3", "--seed", "5"],
+    ["devissage", "--type", "A3", "--seed", "5"],
     ["admissible", "--type", "A3", "--set", "s1,,s2"],
     ["admissible", "--type", "A3", "--set", "s1, "],
     ["no-such-command"],

@@ -1,0 +1,87 @@
+"""The braid-move closure is reached only through `CoxElem` arithmetic.
+
+`CoxeterSystem.braid_class` and its cache appear only in the methods that
+multiply and normalize elements and in `CoxElem.reduced_words`, and
+`reduced_words` is called only where reduced words are what is asked for.
+A swap of the element kernel then stays inside `CoxeterSystem`/`CoxElem`.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "purebraid"
+
+CLOSURE = {"braid_class", "_class_cache"}
+CLOSURE_SCOPES = {
+    "coxeter.CoxeterSystem.__init__",
+    "coxeter.CoxeterSystem.braid_class",
+    "coxeter.CoxeterSystem._canonical",
+    "coxeter.CoxeterSystem._mult_gen",
+    "coxeter.CoxElem.reduced_words",
+}
+REDUCED_WORDS_SCOPES = {
+    "coxeter.CoxElem.descents",
+    "schreier.unique_writing",
+    "schreier.writings_count",
+}
+
+
+def _name_of(node):
+    """The name a node reads, defines or spells as a string, if any."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return node.name
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    return None
+
+
+def scopes_using(source: str, module: str, names: set, calls_only=False) -> set:
+    """The qualified scopes (module.Class.function) in which one of `names`
+    appears; with calls_only, in which one is called."""
+    found = set()
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}"
+        if calls_only:
+            if isinstance(node, ast.Call) and _name_of(node.func) in names:
+                found.add(scope)
+        elif _name_of(node) in names:
+            found.add(scope)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), module)
+    return found
+
+
+def _package_scopes(names: set, calls_only=False) -> set:
+    return {scope for path in SRC.glob("*.py")
+            for scope in scopes_using(path.read_text(encoding="utf-8"), path.stem,
+                                      names, calls_only)}
+
+
+def test_the_closure_is_reached_only_by_the_kernel():
+    assert _package_scopes(CLOSURE) == CLOSURE_SCOPES
+
+
+def test_reduced_words_is_called_only_where_words_are_asked_for():
+    assert _package_scopes({"reduced_words"}, calls_only=True) == REDUCED_WORDS_SCOPES
+
+
+def test_detects_uses_outside_the_allowed_scopes():
+    source = ("class K:\n"
+              "    def f(self):\n"
+              "        return self.braid_class(())\n"
+              "    def g(self):\n"
+              "        return getattr(self, '_class_cache')\n"
+              "def h(w):\n"
+              "    def inner():\n"
+              "        return w.reduced_words()\n"
+              "    return w.reduced_words\n")
+    assert scopes_using(source, "m", CLOSURE) == {"m.K.f", "m.K.g"}
+    assert scopes_using(source, "m", {"reduced_words"}, calls_only=True) == {"m.h.inner"}
