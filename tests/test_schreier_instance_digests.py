@@ -1,0 +1,90 @@
+"""The relation instances of the Schreier presentations, pinned by sha256 digests.
+
+`tests/data/schreier_instance_digests.json` pins the JSON of
+  - `presentation_DI` for every I with |I| >= 2 (I = S included) of A3, B3,
+    H3, D4 and I2(5), with family1_top True and False;
+  - `presentation_pure` of A3 at max_length 3..6, B3 at 8 and I2(5) at 4: a
+    truncated walk, whose presentation is complete (`partial` false) except
+    for A3 at 3 and 4;
+  - for four hyperbolic triangle groups at every max_length 0..6,
+    `presentation_DI` and `crosscheck_closed_vs_raw` for every I with
+    |I| <= 2.
+Regenerate it (only when an output is meant to change) with
+
+    PYTHONPATH=src python tests/test_schreier_instance_digests.py --write
+"""
+
+import hashlib
+import itertools
+import json
+import pathlib
+import sys
+
+import pytest
+
+from purebraid.coxeter import named_system, system_from_json
+from purebraid.schreier import crosscheck_closed_vs_raw, presentation_DI, presentation_pure
+
+DIGESTS = pathlib.Path(__file__).parent / "data" / "schreier_instance_digests.json"
+FINITE = ("A3", "B3", "H3", "D4", "I2(5)")
+TRUNCATED_PURE = (("A3", 3), ("A3", 4), ("A3", 5), ("A3", 6), ("B3", 8), ("I2(5)", 4))
+# the bonds of the triangle groups, as in test_reflection_digests
+TRIANGLES = ((7, None, 2), (4, 4, 3), (7, 3, None), (5, 5, 5))
+INFINITE = tuple("triangle " + "-".join(str(m or "inf") for m in t) for t in TRIANGLES)
+
+
+def _system(name):
+    if name.startswith("triangle "):
+        a, b, c = TRIANGLES[INFINITE.index(name)]
+        return system_from_json(json.dumps({"rank": 3, "m": [[1, a, b], [a, 1, c], [b, c, 1]]}))
+    return named_system(name)
+
+
+def _digest(doc) -> str:
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+
+
+def _tag(system, I) -> str:
+    return "(" + ",".join(system.labels[i] for i in I) + ")"
+
+
+def _cases(name):
+    """(key, thunk giving a JSON-able output) for one system."""
+    system = _system(name)
+    out = []
+    if name in FINITE:
+        for k in range(2, system.rank + 1):
+            for I in itertools.combinations(range(system.rank), k):
+                for top in (True, False):
+                    out.append((f"presentation_DI {_tag(system, I)} family1_top={top}",
+                                lambda I=I, top=top: presentation_DI(
+                                    system, I, family1_top=top).to_json()))
+        out += [(f"presentation_pure max_length={n}",
+                 lambda n=n: presentation_pure(system, max_length=n).to_json())
+                for other, n in TRUNCATED_PURE if other == name]
+        return out
+    for n in range(7):
+        for k in range(3):
+            for I in itertools.combinations(range(system.rank), k):
+                tag = f"{_tag(system, I)} max_length={n}"
+                out.append((f"presentation_DI {tag}", lambda I=I, n=n: presentation_DI(
+                    system, I, max_length=n).to_json()))
+                out.append((f"crosscheck_closed_vs_raw {tag}",
+                            lambda I=I, n=n: crosscheck_closed_vs_raw(system, I, max_length=n)))
+    return out
+
+
+def compute(name) -> dict:
+    return {key: _digest(thunk()) for key, thunk in _cases(name)}
+
+
+@pytest.mark.parametrize("name", FINITE + INFINITE)
+def test_relation_instances_match_pinned_digests(name):
+    assert compute(name) == json.loads(DIGESTS.read_text())[name]
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: test_schreier_instance_digests.py --write")
+    doc = {name: compute(name) for name in FINITE + INFINITE}
+    DIGESTS.write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n")
