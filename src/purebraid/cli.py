@@ -108,15 +108,18 @@ def _default_text(doc) -> str:
         if isinstance(node, dict):
             for k in sorted(node):
                 v = node[k]
-                if isinstance(v, (dict, list)):
+                if isinstance(v, (dict, list)) and v:
                     lines.append(" " * indent + f"{k}:")
                     walk(v, indent + 2)
                 else:
                     lines.append(" " * indent + f"{k}: {v}")
         elif isinstance(node, list):
             for v in node:
-                if isinstance(v, dict):
-                    walk(v, indent)
+                if isinstance(v, dict) and v:
+                    # the item's first key takes the "- " marker
+                    start = len(lines)
+                    walk(v, indent + 2)
+                    lines[start] = " " * indent + "- " + lines[start][indent + 2:]
                 elif isinstance(v, list):
                     lines.append(" " * indent + "- [" +
                                  ", ".join(str(x) for x in v) + "]")
@@ -146,14 +149,12 @@ def cmd_admissible(args) -> int:
     parts = [part.strip() for part in args.set.split(",")] if args.set.strip() else []
     if "" in parts:
         raise UsageError(f"item {parts.index('') + 1} of --set {args.set!r} is empty")
-    elems = [system.normal_form(system.parse_word(part)) for part in parts]
+    elems = {system.normal_form(system.parse_word(part)) for part in parts}
     witness = is_admissible(system, elems)
-    if witness is None:
-        doc = {"admissible": False, "set": sorted(str(t) for t in elems)}
-    else:
-        assert nbar(witness) == frozenset(elems)
-        doc = {"admissible": True, "witness": str(witness),
-               "set": sorted(str(t) for t in elems)}
+    doc = {"admissible": witness is not None, "set": sorted(str(t) for t in elems)}
+    if witness is not None:
+        assert nbar(witness) == elems
+        doc["witness"] = str(witness)
     _emit(doc, args.format)
     return 0
 

@@ -569,20 +569,23 @@ def d_commutation_regression(n: int = 4) -> dict:
     both products) together with the table-level derivation.
     """
     system = named_system(f"D{n}")
-    from .schreier import PureGenerator
+    from .schreier import CosetTable, pure_symbol, symbol_to_braid
 
-    def alt_base(word_gens):
-        return system.normal_form(list(word_gens))
+    table = CosetTable(system, (), [system.identity])
+
+    def pure(base_gens, s):
+        # a_{b,s} needs b s reduced: climb it from e
+        base = system.normal_form(list(base_gens))
+        table.climb(0, base.word + (s,))
+        return symbol_to_braid(system, pure_symbol(base, s))
 
     # a_i = (s_n..s_{i+1} conjugate of s_i)^2 with the section-4 bases
     idx = {lab: k for k, lab in enumerate(system.labels)}
     chain = [idx[f"s{k}"] for k in range(n, 2, -1)]  # s_n .. s_3
-    a2 = PureGenerator(system, alt_base(chain), idx["s2"]).braid()
-    a2p = PureGenerator(system, alt_base(chain), idx["s2'"]).braid()
-    a3 = PureGenerator(system, alt_base(chain[:-1]), idx["s3"]).braid() if n > 3 \
-        else PureGenerator(system, system.identity, idx["s3"]).braid()
-    b3 = PureGenerator(system, alt_base(chain + [idx["s2"], idx["s2'"]]),
-                       idx["s3"]).braid()
+    a2 = pure(chain, idx["s2"])
+    a2p = pure(chain, idx["s2'"])
+    a3 = pure(chain[:-1], idx["s3"])
+    b3 = pure(chain + [idx["s2"], idx["s2'"]], idx["s3"])
     u = a2p.inv() * b3 * a2p
     base_comm = eval_Np(a2 * a2p) == eval_Np(a2p * a2)
     extra_comm = eval_Np(u * a3) == eval_Np(a3 * u)

@@ -1,15 +1,20 @@
 """Reidemeister-Schreier machinery for D_I = p^{-1}(W_I) inside B_W.
 
 Coset representatives of D_I\\B_W are the I-reduced reduced lifts; rewriting a
-braid word letter by letter against this transversal yields the generators
-a_{b,s} = b s^2 b^{-1} (plus I itself) and, applied to the braid relations at
-every representative, a complete set of relations.  The closed forms of the
-relation families (1) and (2) are implemented directly and can be
-cross-checked against the raw rewriting.
+braid word letter by letter against this transversal (`CosetTable`) yields the
+generators a_{b,s} = b s^2 b^{-1} (plus I itself) and, applied to the braid
+relations at every representative, a complete set of relations.  Each
+representative is b0 w with w in W_{s,t} and neither s nor t a right descent
+of b0, so the braid relation of s, t is rewritten at the instances
+(b0, s, t, i) of one enumeration; the closed forms of the relation families (1) and (2) give
+these rewritings directly.  `presentation_DI` keeps the closed form of each
+instance, and `crosscheck_closed_vs_raw` compares it with the raw rewriting
+at the instance's representative.
 
 Words over the presentation generators are tuples of (symbol, +-1) where a
 symbol is ("s", i) for a Coxeter-lift generator or ("a", base_word, i) for a
-pure generator a_{b,s}.
+pure generator a_{b,s}.  A pure generator is its symbol; `symbol_to_braid`
+gives its braid word.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ import heapq
 import json
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from .braid import BraidWord, lift
+from .braid import BraidWord
 from .coxeter import (
     CoxElem,
     CoxeterError,
@@ -46,48 +51,6 @@ def cox_symbol(s: int) -> Symbol:
 
 def pure_symbol(base: CoxElem, gen: int) -> Symbol:
     return ("a", base.word, gen)
-
-
-class PureGenerator:
-    """The pure generator a_{b,s} = b s^2 b^{-1} with b s reduced, I-reduced."""
-
-    __slots__ = ("system", "base", "gen")
-
-    def __init__(self, system: CoxeterSystem, base: CoxElem, gen: int,
-                 I: Iterable[int] = ()):
-        CosetTable(system, I, [system.identity]).climb(0, base.word + (gen,))
-        self.system = system
-        self.base = base
-        self.gen = gen
-
-    @classmethod
-    def _unchecked(cls, system: CoxeterSystem, base: CoxElem, gen: int) -> "PureGenerator":
-        """a_{b,s} for a b s read as an UP step, the check __init__ makes."""
-        g = object.__new__(cls)
-        g.system, g.base, g.gen = system, base, gen
-        return g
-
-    @property
-    def symbol(self) -> Symbol:
-        return pure_symbol(self.base, self.gen)
-
-    def braid(self) -> BraidWord:
-        b = lift(self.base)
-        return b * BraidWord(self.system, [(self.gen, 1)] * 2) * b.inv()
-
-    def reflection(self) -> CoxElem:
-        """p(b s b~), the reflection underlying this generator."""
-        return self.base * self.system.gen(self.gen) * self.base.inv()
-
-    def __eq__(self, other):
-        return isinstance(other, PureGenerator) and self.symbol == other.symbol \
-            and self.system == other.system
-
-    def __hash__(self):
-        return hash((self.system.matrix, self.symbol))
-
-    def __repr__(self):
-        return symbol_str(self.system, self.symbol)
 
 
 def symbol_str(system: CoxeterSystem, sym: Symbol) -> str:
@@ -245,25 +208,11 @@ class CosetTable:
             k = j
         return out, k
 
-    def peel(self, k: int, s: int, t: int) -> Tuple[int, int, int, int]:
-        """decompose_alternating of rep k, with the id of b0."""
-        peeled = []
-        while d := [r for r in sorted((s, t)) if self.step(k, r)[0] == DOWN]:
-            peeled.append(d[0])
-            k = self.step(k, d[0])[1]
-        i = len(peeled)
-        x = min(s, t) if i in (0, self.system.m(s, t)) else peeled[-1]
-        return k, x, s + t - x, i
-
-    def generators(self) -> List[PureGenerator]:
+    def generators(self) -> List[Symbol]:
         """The a_{b,s} with b walked and b s an UP step, by symbol_key."""
-        out = []
-        for k in range(self.walked):
-            for s in range(self.system.rank):
-                if self.step(k, s)[0] == UP:
-                    out.append(PureGenerator._unchecked(self.system, self.reps[k], s))
-        out.sort(key=lambda g: symbol_key(g.symbol))
-        return out
+        return sorted((pure_symbol(self.reps[k], s) for k in range(self.walked)
+                       for s in range(self.system.rank) if self.step(k, s)[0] == UP),
+                      key=symbol_key)
 
 
 def schreier_rewrite(b: BraidWord, I) -> Tuple[Word, CoxElem]:
@@ -282,22 +231,21 @@ def schreier_rewrite(b: BraidWord, I) -> Tuple[Word, CoxElem]:
 
 
 def presentation_generators(system: CoxeterSystem, I,
-                            max_length: Optional[int] = None) -> List[PureGenerator]:
+                            max_length: Optional[int] = None) -> List[Symbol]:
     """All a_{b,s} with b*s reduced and I-reduced (Schreier generators)."""
     I = tuple(sorted(set(I)))
     return CosetTable(system, I, system.enumerate_elements(max_length, I=I)).generators()
 
 
 def minimal_generating_set(system: CoxeterSystem, I,
-                           max_length: Optional[int] = None) -> List[PureGenerator]:
+                           max_length: Optional[int] = None) -> List[Symbol]:
     """One a_{b,s} per reflection b s b^{-1} outside W_I, with the shortest
     (then ShortLex-least) base; these already generate D_I together with I.
 
     b s is I-reduced, so the reflection lies outside W_I; it is keyed by its
     positive root b(a_s) (`CoxeterSystem._root_walk`), which keeps the
     generators in symbol_key order."""
-    return [PureGenerator._unchecked(system, b, s)
-            for b, s in system._root_walk(I, max_length).values()]
+    return [pure_symbol(b, s) for b, s in system._root_walk(I, max_length).values()]
 
 
 # ---------------------------------------------------------------------------
@@ -319,9 +267,9 @@ def relation_for(table: CosetTable, b0: int, s: int, t: int,
 
     i = 0 is the degenerate case: trivial unless both b0 s and b0 t fail to be
     I-reduced, in which case it is the braid relation between the conjugating
-    generators s', t' in I.  For i >= 1 the representative is b0 (sts..)_i and
-    the relation belongs to family (1) (b0 t I-reduced, i = 1..m) or family
-    (2) (b0 t = s' b0, i = 1..m-1).
+    generators s', t' in I.  For i >= 1 the relation belongs to family (1)
+    (b0 t I-reduced, i = 1..m, at the representative b0 (tst..)_i) or family
+    (2) (b0 t = s' b0, i = 1..m-1, at the representative b0 (sts..)_i).
     """
     m = table.system.m(s, t)
     if m is None:
@@ -361,8 +309,13 @@ def decompose_alternating(b: CoxElem, s: int, t: int):
     The tail fixes the orientation except when i is 0 or m(s, t); then x is
     the smaller letter."""
     table = CosetTable(b.system, (), [b])
-    b0, x, y, i = table.peel(0, s, t)
-    return table.reps[b0], x, y, i
+    k, peeled = 0, []
+    while d := [r for r in sorted((s, t)) if table.step(k, r)[0] == DOWN]:
+        peeled.append(d[0])
+        k = table.step(k, d[0])[1]
+    i = len(peeled)
+    x = min(s, t) if i in (0, b.system.m(s, t)) else peeled[-1]
+    return table.reps[k], x, s + t - x, i
 
 
 def rewrite_braid_relation(table: CosetTable, rep: int, s: int,
@@ -377,6 +330,35 @@ def rewrite_braid_relation(table: CosetTable, rep: int, s: int,
     (lhs, lrep), (rhs, rrep) = sides
     assert lrep == rrep
     return normalize_relation(lhs, rhs)
+
+
+def _relation_instances(table: CosetTable):
+    """The (b0, s, t, i) at which relation_for rewrites a braid relation: for
+    each walked b0 and s < t with m(s, t) finite and neither b0 s nor b0 t a
+    DOWN step, i = 0; then i = 1..m-1 for (s, t) and (t, s) and i = m once
+    when both are UP steps (family (1)), or i = 1..m-1 with the UP letter
+    first when one is a CONJ step (family (2)).  Each representative b0 w,
+    w in W_{s,t}, that is I-reduced is reached once per couple s < t."""
+    system = table.system
+    for b0 in range(table.walked):
+        for s in range(system.rank):
+            for t in range(s + 1, system.rank):
+                m = system.m(s, t)
+                if m is None:
+                    continue
+                kinds = (table.step(b0, s)[0], table.step(b0, t)[0])
+                if DOWN in kinds:
+                    continue
+                yield b0, s, t, 0
+                if kinds == (UP, UP):
+                    for i in range(1, m):
+                        yield b0, s, t, i
+                        yield b0, t, s, i
+                    yield b0, s, t, m
+                elif UP in kinds:
+                    up, conj = (s, t) if kinds[0] == UP else (t, s)
+                    for i in range(1, m):
+                        yield b0, up, conj, i
 
 
 # ---------------------------------------------------------------------------
@@ -451,23 +433,6 @@ class Presentation:
         return cls(system, I, gens, rels, partial=doc.get("partial", False))
 
 
-def _braid_relations_among(system: CoxeterSystem, I) -> List[Tuple[Word, Word]]:
-    out = []
-    I = sorted(set(I))
-    for a in range(len(I)):
-        for b in range(a + 1, len(I)):
-            sp, tp = I[a], I[b]
-            m = system.m(sp, tp)
-            if m is None:
-                continue
-            lhs = tuple((cox_symbol(x), 1) for x in _alt(sp, tp, m))
-            rhs = tuple((cox_symbol(x), 1) for x in _alt(tp, sp, m))
-            rel = normalize_relation(lhs, rhs)
-            if rel is not None:
-                out.append(rel)
-    return out
-
-
 def presentation_DI(system: CoxeterSystem, I, max_length: Optional[int] = None,
                     family1_top: bool = True) -> Presentation:
     """The full presentation of D_I (Prop. "presentation de D_I").
@@ -479,51 +444,26 @@ def presentation_DI(system: CoxeterSystem, I, max_length: Optional[int] = None,
     I = tuple(sorted(set(I)))
     partial = max_length is not None and not system.is_finite()
     table = CosetTable(system, I, system.enumerate_elements(max_length, I=I))
-    gens = [cox_symbol(i) for i in I] + [g.symbol for g in table.generators()]
-    relations = list(_braid_relations_among(system, I))
-    seen = {frozenset((u, v)) for u, v in relations}
-    for s in range(system.rank):
-        for t in range(system.rank):
-            if s == t:
-                continue
-            m = system.m(s, t)
-            if m is None:
-                continue
-            for b0 in range(table.walked):
-                s_kind, t_kind = table.step(b0, s)[0], table.step(b0, t)[0]
-                if DOWN in (s_kind, t_kind):
-                    continue
-                if s_kind == t_kind == CONJ:
-                    i_range = (0,)
-                elif s_kind == CONJ:
-                    continue  # handled with the couple (t, s)
-                elif t_kind == UP:
-                    top = m + 1 if family1_top else m
-                    i_range = range(1, top)
-                else:
-                    i_range = range(1, m)
-                length = len(table.reps[b0])
-                if max_length is not None and length + max(i_range, default=0) \
-                        > max_length:
-                    partial = True
-                for i in i_range:
-                    if max_length is not None and length + i > max_length:
-                        continue
-                    rel = relation_for(table, b0, s, t, i)
-                    if rel is None:
-                        continue
-                    # family (1) at level i references bases up to length
-                    # len(b0) + m - 1, which can exceed a truncation cap
-                    if max_length is not None and any(
-                            sym[0] == "a" and len(sym[1]) > max_length
-                            for side in rel for sym, _ in side):
-                        partial = True
-                        continue
-                    key = frozenset(rel)
-                    if key not in seen:
-                        seen.add(key)
-                        relations.append(rel)
-    relations.sort(key=lambda r: (word_key(r[0]), word_key(r[1])))
+    gens = [cox_symbol(i) for i in I] + table.generators()
+    relations = set()
+    for b0, s, t, i in _relation_instances(table):
+        if i == system.m(s, t) and not family1_top:
+            continue
+        if max_length is not None and len(table.reps[b0]) + i > max_length:
+            partial = True
+            continue
+        rel = relation_for(table, b0, s, t, i)
+        if rel is None:
+            continue
+        # family (1) at level i references bases up to length
+        # len(b0) + m - 1, which can exceed a truncation cap
+        if max_length is not None and any(
+                sym[0] == "a" and len(sym[1]) > max_length
+                for side in rel for sym, _ in side):
+            partial = True
+            continue
+        relations.add(rel)
+    relations = sorted(relations, key=lambda r: (word_key(r[0]), word_key(r[1])))
     return Presentation(system, I, gens, relations, partial=partial)
 
 
@@ -536,31 +476,27 @@ def presentation_pure(system: CoxeterSystem,
 
 def crosscheck_closed_vs_raw(system: CoxeterSystem, I,
                              max_length: Optional[int] = None) -> dict:
-    """Raw rewriting of every representative relation vs the closed forms."""
+    """Raw rewriting of every representative relation vs the closed forms:
+    relation_for at each instance against rewrite_braid_relation at the
+    representative the instance is stated for."""
     I = tuple(sorted(set(I)))
     table = CosetTable(system, I, system.enumerate_elements(max_length, I=I))
     checked = 0
     failures = []
-    for rep in range(table.walked):
-        for s in range(system.rank):
-            for t in range(s + 1, system.rank):
-                m = system.m(s, t)
-                if m is None:
-                    continue
-                if max_length is not None and len(table.reps[rep]) + m > max_length:
-                    continue
-                raw = rewrite_braid_relation(table, rep, s, t)
-                b0, x, y, i = table.peel(rep, s, t)
-                # family (1) is stated for the couple opposite to the tail
-                # orientation; family (2) and the i = 0 case follow the tail
-                if i >= 1 and table.step(b0, y)[0] == UP:
-                    closed = relation_for(table, b0, y, x, i)
-                else:
-                    closed = relation_for(table, b0, x, y, i)
-                checked += 1
-                if raw != closed:
-                    failures.append((str(table.reps[rep]), system.labels[s],
-                                     system.labels[t]))
+    for b0, s, t, i in _relation_instances(table):
+        if max_length is not None:
+            # the walk goes by length and m(s, t) >= 2: no later b0 fits
+            if len(table.reps[b0]) + 2 > max_length:
+                break
+            if len(table.reps[b0]) + i + system.m(s, t) > max_length:
+                continue
+        # family (1) is stated at b0 (tst..)_i, family (2) at b0 (sts..)_i
+        x, y = (t, s) if table.step(b0, t)[0] == UP else (s, t)
+        rep = table.climb(b0, _alt(x, y, i))
+        checked += 1
+        if rewrite_braid_relation(table, rep, s, t) != relation_for(table, b0, s, t, i):
+            failures.append((str(table.reps[rep]), system.labels[min(s, t)],
+                             system.labels[max(s, t)]))
     return {"checked": checked, "failures": failures, "passed": not failures}
 
 
@@ -823,8 +759,7 @@ def devissage(system: CoxeterSystem, chain) -> DevissageChain:
             continue
         ambient = subsystem(system, cur)
         local_I = [cur.index(i) for i in prev]
-        gens = minimal_generating_set(ambient, local_I)
-        names = [symbol_str(ambient, g.symbol) for g in gens]
+        names = [symbol_str(ambient, g) for g in minimal_generating_set(ambient, local_I)]
         levels.append({"I": [system.labels[i] for i in prev],
                        "ambient": [system.labels[i] for i in cur],
                        "generators": names, "count": len(names)})
@@ -909,8 +844,8 @@ def reflections_vs_nbar_check(system: CoxeterSystem, I,
     witness b s such that b s b~ is a reduced lift."""
     I = tuple(sorted(set(I)))
     if system.is_finite():
-        witnessed = {g.reflection() for g in minimal_generating_set(system, I,
-                                                                    max_length)}
+        witnessed = {system.normal_form(b + (s,) + b[::-1])
+                     for _, b, s in minimal_generating_set(system, I, max_length)}
         target = nbar(max_I_reduced(system, I))
         return {"finite": True, "equal": witnessed == target,
                 "count": len(witnessed),

@@ -35,6 +35,10 @@ def test_admissible_positive_and_negative(capsys):
     code, out, _ = run(capsys, "admissible", "--type", "A2",
                        "--set", "s1 s2 s1")
     assert code == 0 and not json.loads(out)["admissible"]
+    # the set {s1}, named twice, is reported once
+    code, out, _ = run(capsys, "admissible", "--type", "A2", "--set", "s1, s1")
+    assert code == 0
+    assert json.loads(out) == {"admissible": True, "witness": "s1", "set": ["s1"]}
 
 
 def test_admissible_empty_set_is_the_inversion_set_of_e(capsys):
@@ -76,6 +80,16 @@ def test_devissage(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["total_pure_generators"] == 9
+
+
+def test_devissage_text_marks_each_level(capsys):
+    # each level is one "- " item; the empty I of the first level reads []
+    code, out, _ = run(capsys, "devissage", "--type", "A3", "--format", "text")
+    assert code == 0
+    lines = out.splitlines()
+    levels = lines[lines.index("levels:") + 1:lines.index("total_pure_generators: 6")]
+    assert [line for line in levels if not line.startswith("    ")] \
+        == ["  - I: []", "  - I:", "  - I:"]
 
 
 def test_verify_actions(capsys):

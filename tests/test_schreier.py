@@ -83,6 +83,12 @@ def test_presentation_D4_matches_table():
 # -- generators ----------------------------------------------------------
 
 
+def _reflection(system, sym):
+    """p(b s b~) for the pure generator symbol ("a", b, s)."""
+    _, base, s = sym
+    return system.normal_form(base + (s,) + base[::-1])
+
+
 def test_minimal_generating_set_counts():
     # one generator per reflection outside W_I
     for name, I, expected in (("A3", (0, 1), 3), ("B3", (0, 1), 5),
@@ -90,7 +96,7 @@ def test_minimal_generating_set_counts():
         system = named_system(name)
         gens = minimal_generating_set(system, I)
         assert len(gens) == expected
-        assert len({g.reflection() for g in gens}) == expected
+        assert len({_reflection(system, g) for g in gens}) == expected
 
 
 # |T| where `reflections` (the braid-move closure) does not finish: H4 has
@@ -118,7 +124,7 @@ def test_minimal_generators_realize_nbar_of_bI():
         report = reflections_vs_nbar_check(system, I)
         assert report["finite"] and report["equal"]
         bI = max_I_reduced(system, I)
-        assert {g.reflection() for g in minimal_generating_set(system, I)} \
+        assert {_reflection(system, g) for g in minimal_generating_set(system, I)} \
             == nbar(bI)
 
 
@@ -132,9 +138,10 @@ def test_affine_counterexample():
 def test_presentation_generators_are_valid():
     system = named_system("B3")
     for g in presentation_generators(system, (0, 1)):
-        bs = g.base * system.gen(g.gen)
-        assert len(bs) == len(g.base) + 1
-        b = g.braid()
+        _, base, s = g
+        bs = system.normal_form(base + (s,))
+        assert len(bs) == len(base) + 1
+        b = symbol_to_braid(system, g)
         assert b.project().is_identity()  # pure
 
 
