@@ -22,7 +22,9 @@ I with w(a_s) = a_t (Deodhar).  The Cartan matrix A is integral when every
 bond lies in {2, 3, 4, 6, inf}; otherwise it is the symmetric matrix of
 -2cos(pi/m) over the exact ring Z[2cos(pi/M)], with signs certified in
 integers.  The same walk reads the positive roots w(a_s), and with them the
-reflections (`reflections`).
+reflections (`reflections`), off the frame of w: the roots w(a_j), which
+determine w, the representation being faithful.  The (N, p) certificate of
+`schreier` computes with roots and frames alone.
 
 Finiteness is decided exactly from the Coxeter graph by the classification
 of the finite Coxeter groups (Coxeter 1935; Humphreys, Reflection Groups and
@@ -417,18 +419,47 @@ class CoxeterSystem:
             r = self._coset_step(r, s)[1]
         return r
 
-    def _root(self, word: Sequence[int], s: int) -> tuple:
-        """w(a_s), w spelled by `word`, over the simple roots: the positive
-        root of the reflection w s w^-1 when ws is longer than w."""
+    def _act(self, word: Sequence[int], v: Sequence) -> tuple:
+        """w(v), w spelled by `word` and v over the simple roots: one simple
+        reflection at a time, s(v) = v - (sum_t A[s][t] v_t) a_s."""
         ring, rows = self._cartan_rows()
-        v = [ring.zero] * self.rank
-        v[s] = ring.one
+        v = list(v)
         for i in reversed(word):
             x = ring.neg(v[i])
             for t, a in rows[i]:
                 x = ring.submul(x, a, v[t])
             v[i] = x
         return tuple(v)
+
+    def _root(self, word: Sequence[int], s: int) -> tuple:
+        """w(a_s), w spelled by `word`, over the simple roots: the positive
+        root of the reflection w s w^-1 when ws is longer than w."""
+        return self._act(word, self._frame()[s])
+
+    def _frame(self) -> tuple:
+        """The frame of the identity: the simple roots a_j, over themselves."""
+        ring, _ = self._cartan_rows()
+        return tuple(tuple(ring.one if i == j else ring.zero for i in range(self.rank))
+                     for j in range(self.rank))
+
+    def _frame_step(self, frame: tuple, s: int) -> tuple:
+        """The frame (ws)(a_j) of ws from the frame w(a_j) of w: (ws)(a_j) =
+        w(a_j) - A[s][j] w(a_s).  A frame determines its element, the
+        reflection representation being faithful."""
+        ring, rows = self._cartan_rows()
+        ws = frame[s]
+        out = list(frame)
+        out[s] = tuple(ring.neg(x) for x in ws)
+        for j, a in rows[s]:
+            out[j] = tuple(ring.submul(y, a, x) for y, x in zip(frame[j], ws))
+        return tuple(out)
+
+    def _positive(self, root: tuple) -> tuple:
+        """The positive one of the roots +-root: a root has all its
+        coordinates of one sign, so the first nonzero one decides."""
+        ring, _ = self._cartan_rows()
+        x = next(x for x in root if x != ring.zero)
+        return root if ring.sign(x) > 0 else tuple(ring.neg(y) for y in root)
 
     # -- element enumeration ---------------------------------------------
 
@@ -477,22 +508,19 @@ class CoxeterSystem:
         """{b(a_s): (b, s)}: per positive root b(a_s) with b in W^I of length
         <= max_length and b s longer and I-reduced (r_s > 0 on the coset
         vector r of b), the least (b, s) by length of b, then ShortLex; b is
-        a CoxElem.  Coordinate j of b(a_s) is entry s of the coset vector of
-        b for the parabolic on S - {j}: these root frames of b are one step
-        from those of its longest proper prefix, one level below."""
+        a CoxElem.  The frame of b (`_frame_step`) is one step from that of
+        its longest proper prefix, one level below."""
         if max_length is None and not self.is_finite():
             raise CoxeterError("max_length required for an infinite system")
         ring, _ = self._cartan_rows()
-        gens = range(self.rank)
         best, below = {}, {}
         for level in self._levels(frozenset(I), max_length):
             frames = {}
             for r, b in level.items():
-                frames[b] = [self._coset_step(v, b[-1])[1] for v in below[b[:-1]]] if b \
-                    else [self._coset_vector(set(gens) - {j}) for j in gens]
-                for s in gens:
+                frames[b] = self._frame_step(below[b[:-1]], b[-1]) if b else self._frame()
+                for s in range(self.rank):
                     if ring.sign(r[s]) > 0:
-                        root = tuple(v[s] for v in frames[b])
+                        root = frames[b][s]
                         if root not in best:
                             best[root] = CoxElem(self, b), s
             below = frames

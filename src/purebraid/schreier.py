@@ -35,7 +35,7 @@ from .coxeter import (
     subsystem,
 )
 from .freeword import free_reduce, word_inv
-from .nmap import SemidirectElem, ZTVector, eval_Np, nbar
+from .nmap import nbar
 
 Symbol = tuple
 Word = Tuple[Tuple[Symbol, int], ...]
@@ -209,9 +209,13 @@ class CosetTable:
         return out, k
 
     def generators(self) -> List[Symbol]:
-        """The a_{b,s} with b walked and b s an UP step, by symbol_key."""
+        """The a_{b,s} with b walked and b s an UP step, by symbol_key: read
+        off the sign of entry s of the coset vector of b, so that no step is
+        taken, nor a representative past the walk made."""
+        ring, _ = self.system._cartan_rows()
         return sorted((pure_symbol(self.reps[k], s) for k in range(self.walked)
-                       for s in range(self.system.rank) if self.step(k, s)[0] == UP),
+                       for s in range(self.system.rank)
+                       if ring.sign(self.vectors[k][s]) > 0),
                       key=symbol_key)
 
 
@@ -501,34 +505,56 @@ def crosscheck_closed_vs_raw(system: CoxeterSystem, I,
 
 
 def soundness_report(p: Presentation) -> dict:
-    """eval_Np certificate: both sides of every relation agree in ZT x| W.
+    """The (N, p) certificate: both sides of every relation agree in ZT x| W.
 
-    (N, p) is evaluated once per symbol and sign that the relations use, on
-    the braid word of the symbol or of its inverse; each side of a relation
-    is then the product of these images in ZT x| W, folded from (0, e).
-    Since (N, p) is a homomorphism, this equals eval_Np of the side expanded
-    into braid letters, without expanding it; a pure generator has trivial
-    W-part, so folding a P_W relation conjugates nothing.  The images are
-    kept for this call only.
+    (N, p) is evaluated in the reflection representation, with no product
+    of elements: a reflection w s w^-1 is read as its positive root
+    +-w(a_s), and an element w of W as its frame, the roots w(a_j)
+    (`coxeter`).  The image of each symbol and sign that the relations use
+    is read once off the braid word of the symbol or of its inverse, walked
+    letter by letter with the frame of the prefix w: s^e adds e at the
+    positive root +-w(a_s).  Each side of a relation is then the product of
+    these images in ZT x| W, folded from (0, e): its W-part acts on a root
+    through the simple reflections of its word, and two W-parts are equal
+    iff their frames are.  Since (N, p) is a homomorphism, this equals
+    eval_Np of the side expanded into braid letters, without expanding it
+    and without the braid-move closure.  The images are kept for this call
+    only.
 
     The kernel of (N, p) is the derived subgroup D(P_W), so a pass shows
     that each relation holds in B_W / D(P_W), not that it holds in B_W; the
     result says so under "certificate".
     """
     system = p.system
+    identity = system._frame()
     images = {}
 
-    def image(sym: Symbol, e: int) -> SemidirectElem:
+    def image(sym: Symbol, e: int) -> tuple:
+        # ({positive root: coefficient}, a word of the W-part)
         if (sym, e) not in images:
             b = symbol_to_braid(system, sym)
-            images[sym, e] = eval_Np(b if e == 1 else b.inv())
+            b = b if e == 1 else b.inv()
+            x, frame = {}, identity
+            for s, f in b.letters:
+                root = system._positive(frame[s])
+                x[root] = x.get(root, 0) + f
+                frame = system._frame_step(frame, s)
+            word = () if frame == identity else tuple(s for s, _ in b.letters)
+            images[sym, e] = {root: c for root, c in x.items() if c}, word
         return images[sym, e]
 
-    def fold(word: Word) -> SemidirectElem:
-        out = SemidirectElem(ZTVector(system), system.identity)
-        for sym, e in word:
-            out = out * image(sym, e)
-        return out
+    def fold(side: Word) -> tuple:
+        x, word, frame = {}, (), identity
+        for sym, e in side:
+            y, v = image(sym, e)
+            for root, c in y.items():
+                if word:
+                    root = system._positive(system._act(word, root))
+                x[root] = x.get(root, 0) + c
+            for s in v:
+                frame = system._frame_step(frame, s)
+            word += v
+        return {root: c for root, c in x.items() if c}, frame
 
     failures = [(word_str(system, u), word_str(system, v))
                 for u, v in p.relations if fold(u) != fold(v)]

@@ -24,6 +24,7 @@ from purebraid.coxeter import (
     is_I_reduced,
     named_system,
     reflections,
+    system_from_json,
 )
 from purebraid.nmap import SemidirectElem, ZTVector, eval_Np, nbar
 from purebraid.schreier import (
@@ -212,6 +213,26 @@ def test_schreier_kernel_call_budget(name, monkeypatch):
         assert len(calls) <= 3 * system.rank * size, run.__name__
 
 
+def test_generators_take_no_step_on_a_truncated_walk(monkeypatch):
+    # whether b s is an UP step is the sign of entry s of the coset vector
+    # of b: the generators of a truncated walk need no product of elements
+    calls = []
+    mult_gen = CoxeterSystem._mult_gen
+    monkeypatch.setattr(CoxeterSystem, "_mult_gen",
+                        lambda self, word, s: calls.append(1) or mult_gen(self, word, s))
+    triangle = '{"rank": 3, "m": [[1, 5, 5], [5, 1, 5], [5, 5, 1]]}'
+    for I in ((), (0,), (0, 1)):
+        gens = presentation_generators(system_from_json(triangle), I, max_length=12)
+        assert calls == [] and len(gens) == {(): 15735, (0,): 10274, (0, 1): 5029}[I]
+    # the same symbols as the UP steps of the table
+    system = system_from_json(triangle)
+    table = CosetTable(system, (0,), system.enumerate_elements(6, I=(0,)))
+    assert table.generators() == sorted(
+        (("a", table.reps[k].word, s) for k in range(table.walked)
+         for s in range(system.rank) if table.step(k, s)[0] == UP),
+        key=lambda sym: (len(sym[1]), sym[1], sym[2]))
+
+
 @pytest.mark.parametrize("name,I", [
     ("A2", ()), ("A3", (0, 1)), ("B2", ()), ("I2(5)", (0,)),
     ("I2(4)", ()), ("D4", (0, 1, 2)),
@@ -236,7 +257,8 @@ def test_relations_hold_under_eval_Np(name, I):
 def _presentations_of(name):
     system = named_system(name)
     if not system.is_finite():
-        return [presentation_DI(system, (0, 1), max_length=4)]
+        return [presentation_pure(system, max_length=4),
+                presentation_DI(system, (0, 1), max_length=4)]
     return [presentation_pure(system)] + [presentation_DI(system, (i,))
                                           for i in range(system.rank)]
 
@@ -303,6 +325,72 @@ def test_soundness_rejects_false_pure_commutation():
     p = Presentation(system, (), [a1, a2], [(((a1, 1), (a2, 1)),
                                             ((a2, 1), (a1, 1)))])
     assert not soundness_report(p)["passed"]
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "H3", "A4", "D4", "I2(5)", "Atilde2"])
+def test_soundness_report_never_runs_the_closure(name, monkeypatch):
+    # each presentation is certified on a fresh system with the braid-move
+    # closure switched off: roots and frames only
+    presentations = _presentations_of(name)
+    if name == "B3":
+        presentations.append(presentation_DI(named_system(name), (0, 1)))
+
+    def closure(self, word):
+        raise AssertionError("the braid-move closure was run")
+
+    monkeypatch.setattr(CoxeterSystem, "braid_class", closure)
+    for p in presentations:
+        system = named_system(name)
+        report = soundness_report(Presentation(system, p.I, p.generators,
+                                               p.relations, p.partial))
+        assert report["passed"] and report["checked"] == len(p.relations) > 0
+        assert system._class_cache == {}
+
+
+def _random_relations(p, rng, count):
+    """Seeded pairs of words over the generators of p and the Coxeter lifts
+    of S: random pairs, which nearly all fail, and a word against itself
+    with a relation of p inserted, with two adjacent pure letters swapped
+    (both hold mod D(P_W)) or with a lift moved past its neighbour."""
+    system = p.system
+    lifts = tuple(("s", i) for i in range(system.rank))
+    letters = sorted(set(p.generators) | set(lifts))
+
+    def word(length):
+        return tuple((rng.choice(letters), rng.choice((1, -1))) for _ in range(length))
+
+    def swapped(u, k):
+        return u[:k] + (u[k + 1], u[k]) + u[k + 2:]
+
+    pairs = []
+    while len(pairs) < count:
+        u = word(rng.randrange(1, 6))
+        k = rng.randrange(len(u))
+        kind = rng.randrange(4)
+        if kind == 0:
+            v = word(rng.randrange(0, 6))
+        elif kind == 1 and p.relations:
+            lhs, rhs = rng.choice(p.relations)
+            v = u[:k] + lhs + tuple((sym, -e) for sym, e in reversed(rhs)) + u[k:]
+        elif k + 1 < len(u):
+            v = swapped(u, k)
+        else:
+            continue
+        pairs.append((u, v))
+    return Presentation(system, p.I, tuple(p.generators) + lifts, pairs)
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "H3", "I2(5)", "Atilde2"])
+def test_soundness_agrees_with_the_expanded_images_on_random_pairs(name):
+    rng = random.Random(f"soundness-{name}")
+    outcomes = set()
+    for p in _presentations_of(name):
+        q = _random_relations(p, rng, 40)
+        report = soundness_report(q)
+        assert report == _expanded_report(q)
+        outcomes |= {not report["failures"], len(report["failures"]) == len(q.relations)}
+    # some pairs hold and some do not
+    assert outcomes == {False}
 
 
 @pytest.mark.parametrize("name,I", [
