@@ -411,13 +411,10 @@ class CoxeterSystem:
             out[t] = ring.submul(out[t], a, x)
         return sign, tuple(out)
 
-    def _coset_vector(self, I: Iterable[int], word: Sequence[int] = ()) -> tuple:
-        """The coset vector of W_I w, w spelled by `word`."""
+    def _coset_vector(self, I: Iterable[int]) -> tuple:
+        """The coset vector of W_I itself."""
         ring, _ = self._cartan_rows()
-        r = tuple(ring.zero if j in I else ring.one for j in range(self.rank))
-        for s in word:
-            r = self._coset_step(r, s)[1]
-        return r
+        return tuple(ring.zero if j in I else ring.one for j in range(self.rank))
 
     def _act(self, word: Sequence[int], v: Sequence) -> tuple:
         """w(v), w spelled by `word` and v over the simple roots: one simple
@@ -717,15 +714,10 @@ def is_reflection(el: CoxElem) -> bool:
     return True
 
 
-def make_reflection(el: CoxElem) -> Reflection:
-    u, s = palindromize(el)
-    return Reflection(el, u, s)
-
-
 def reflections(system: CoxeterSystem, max_length: Optional[int] = None) -> list:
     """All reflections of length <= max_length (all of them, W finite, if
-    None), by length, ShortLex within a length, each with the witness of
-    `make_reflection`.
+    None), by length, ShortLex within a length, each with the witness (u, s)
+    that `palindromize` gives.
 
     A reflection t = b s b^-1 is read off its positive root b(a_s): every
     b with this root has l(t) <= 2 l(b) + 1, with equality at the u of a
@@ -817,11 +809,6 @@ def longest_element(system: CoxeterSystem, I: Optional[Iterable[int]] = None) ->
     while missing := I - w.descents("right"):
         w = w * system.gen(min(missing))
     return w
-
-
-def in_parabolic(w: CoxElem, I: Iterable[int]) -> bool:
-    """Membership in W_I, by peeling left I-descents down to the identity."""
-    return coset_rep(w, I).is_identity()
 
 
 # ---------------------------------------------------------------------------

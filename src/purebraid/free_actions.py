@@ -30,7 +30,7 @@ from .freeword import (
     word_inv,
     word_mul,
 )
-from .nmap import eval_N, eval_Np
+from .nmap import eval_N
 
 # ---------------------------------------------------------------------------
 # automorphisms
@@ -117,14 +117,6 @@ def aut_invert(f: FreeAut) -> FreeAut:
     if not (f * g).is_identity() or not (g * f).is_identity():
         raise CoxeterError("inversion check failed")
     return g
-
-
-def is_automorphism(f: FreeAut) -> bool:
-    try:
-        aut_invert(f)
-        return True
-    except CoxeterError:
-        return False
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +444,7 @@ def abelianized_action(model: ActionModel, label: str) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# sampling and towers
+# sampling
 
 
 def random_pure_word(system: CoxeterSystem, rng: random.Random,
@@ -479,120 +471,3 @@ def nontriviality_sample(model: ActionModel, samples: int = 500,
         if all(act(model, b, letter(x)) == letter(x) for x in model.basis):
             fixed.append(str(b))
     return {"tested": tested, "trivial_actions": fixed, "passed": not fixed}
-
-
-def conj_tower_check(kind: str, n: int) -> dict:
-    """Conjugation by s_i sends level-(i-1) generators into level-i generators.
-
-    Levels in the top model: level j of type A is {a1..a_{j+1}}; of type B
-    (a/b basis) it is {a1..a_{j+1}, b2..b_{j+1}}.  Also checks the commuting
-    negative control: s_j with j >= i+1 fixes every level-(i-1) generator
-    except its own neighbors.
-    """
-    if kind not in ("A", "B"):
-        raise CoxeterError("tower check supports types A and B")
-    model = action_model("A" if kind == "A" else "B_ab",
-                         n if kind == "A" else n + 1)
-
-    def level(j: int) -> set:
-        syms = {f"a{i}" for i in range(1, j + 2) if f"a{i}" in model.basis}
-        if kind == "B":
-            syms |= {f"b{i}" for i in range(2, j + 2) if f"b{i}" in model.basis}
-        return syms
-
-    checked = 0
-    failures = []
-    for i in range(2, n + 1):
-        label = f"s{i}"
-        if label not in model.table:
-            continue
-        target = level(i)
-        for g in sorted(level(i - 1)):
-            img = model.aut(label).apply(letter(g))
-            checked += 1
-            if not {sym for sym, _ in img} <= target:
-                failures.append({"s": label, "generator": g,
-                                 "image": free_word_str(img)})
-        # commuting control: later generators fix the lower level
-        for j in range(i + 2, n + 1):
-            lab = f"s{j}"
-            if lab not in model.table:
-                continue
-            for g in sorted(level(i - 1)):
-                checked += 1
-                if model.aut(lab).apply(letter(g)) != letter(g):
-                    failures.append({"s": lab, "generator": g,
-                                     "expected": "fixed"})
-    return {"checked": checked, "failures": failures, "passed": not failures}
-
-
-# ---------------------------------------------------------------------------
-# type B change of basis and the type D regression
-
-
-def change_of_basis_check(n: int) -> dict:
-    """The x/y model and the a/b model of type B_n are the same action.
-
-    Substituting x_i = b_n..b_2 a_1..a_i and y_i = b_n..b_{i+1} into the x/y
-    table must reproduce the a/b table: h(s(u)) = s(h(u)) for the basis
-    homomorphism h and every generator s and x/y basis element u.
-    """
-    xy = action_model("B", n)
-    ab = action_model("B_ab", n)
-    sub: Dict[str, FreeWord] = {}
-    b_part = word_mul(*[letter(f"b{k}") for k in range(n, 1, -1)])
-    for i in range(1, n + 1):
-        a_part = word_mul(*[letter(f"a{k}") for k in range(1, i + 1)])
-        sub[f"x{i}"] = word_mul(b_part, a_part)
-    for i in range(1, n):
-        sub[f"y{i}"] = word_mul(*[letter(f"b{k}") for k in range(n, i, -1)])
-
-    checked = 0
-    failures = []
-    for label in xy.acting:
-        for u in xy.basis:
-            lhs = substitute(sub, xy.aut(label).apply(letter(u)))
-            rhs = ab.aut(label).apply(substitute(sub, letter(u)))
-            checked += 1
-            if lhs != rhs:
-                failures.append({"s": label, "symbol": u,
-                                 "lhs": free_word_str(lhs),
-                                 "rhs": free_word_str(rhs)})
-    return {"checked": checked, "failures": failures, "passed": not failures}
-
-
-def d_commutation_regression(n: int = 4) -> dict:
-    """The extra type-D commutation: a2'^-1 b3 a2' commutes with a3.
-
-    These are the images of a2' and a2 under conjugation by s2, and a2, a2'
-    commute; the identity is certified here at the image level (eval_Np on
-    both products) together with the table-level derivation.
-    """
-    system = named_system(f"D{n}")
-    from .schreier import CosetTable, pure_symbol, symbol_to_braid
-
-    table = CosetTable(system, (), [system.identity])
-
-    def pure(base_gens, s):
-        # a_{b,s} needs b s reduced: climb it from e
-        base = system.normal_form(list(base_gens))
-        table.climb(0, base.word + (s,))
-        return symbol_to_braid(system, pure_symbol(base, s))
-
-    # a_i = (s_n..s_{i+1} conjugate of s_i)^2 with the section-4 bases
-    idx = {lab: k for k, lab in enumerate(system.labels)}
-    chain = [idx[f"s{k}"] for k in range(n, 2, -1)]  # s_n .. s_3
-    a2 = pure(chain, idx["s2"])
-    a2p = pure(chain, idx["s2'"])
-    a3 = pure(chain[:-1], idx["s3"])
-    b3 = pure(chain + [idx["s2"], idx["s2'"]], idx["s3"])
-    u = a2p.inv() * b3 * a2p
-    base_comm = eval_Np(a2 * a2p) == eval_Np(a2p * a2)
-    extra_comm = eval_Np(u * a3) == eval_Np(a3 * u)
-    model = action_model("D", n)
-    s2 = model.aut("s2")
-    derivation = (s2.apply(letter("a2'")) == _conj(letter("a2'"), letter("b3"))
-                  and s2.apply(letter("a2")) == letter("a3"))
-    return {"base_commutation": base_comm, "extra_commutation": extra_comm,
-            "table_derivation": derivation,
-            "passed": base_comm and extra_comm and derivation}

@@ -229,23 +229,3 @@ def splitting_parity_witness(system: CoxeterSystem) -> dict:
         report[system.labels[s]] = coeff
     return {"coefficients": report,
             "all_odd": all(c % 2 == 1 for c in report.values())}
-
-
-def monoid_monotonicity_check(words: Iterable[BraidWord]) -> dict:
-    """N is order-preserving on positive words for prefix divisibility.
-
-    For each positive word v and each prefix u, N(v) - N(u) must lie in NT.
-    """
-    checked = 0
-    failures = []
-    for v in words:
-        if not v.is_positive():
-            raise CoxeterError("monotonicity is defined on positive words")
-        nv = eval_N(v)
-        for i in range(len(v) + 1):
-            u = BraidWord(v.system, v.letters[:i])
-            diff = nv - eval_N(u)
-            checked += 1
-            if not diff.all_nonnegative():
-                failures.append((str(v), i))
-    return {"checked": checked, "failures": failures, "passed": not failures}

@@ -11,6 +11,12 @@ these rewritings directly.  `presentation_DI` keeps the closed form of each
 instance, and `crosscheck_closed_vs_raw` compares it with the raw rewriting
 at the instance's representative.
 
+The transversal is one walk of the I-reduced elements, and every step of the
+rewriting is read off coset vectors: the module makes no product of elements
+(`Presentation.from_json` alone puts the bases it reads in normal form).  On
+a truncated walk, an instance is kept only when the lengths of its
+representative and of its bases fit the cap.
+
 Words over the presentation generators are tuples of (symbol, +-1) where a
 symbol is ("s", i) for a Coxeter-lift generator or ("a", base_word, i) for a
 pure generator a_{b,s}.  A pure generator is its symbol; `symbol_to_braid`
@@ -29,13 +35,9 @@ from .coxeter import (
     CoxeterError,
     CoxeterSystem,
     _alt,
-    is_I_reduced,
-    longest_element,
-    reflections,
     subsystem,
 )
 from .freeword import free_reduce, word_inv
-from .nmap import nbar
 
 Symbol = tuple
 Word = Tuple[Tuple[Symbol, int], ...]
@@ -127,68 +129,66 @@ UP, DOWN, CONJ = "up", "down", "conj"
 
 
 class CosetTable:
-    """The action of S on the cosets W_I\\W, on I-reduced representatives.
+    """The action of S on the cosets W_I\\W, on the I-reduced
+    representatives of a walk.
 
-    The representatives given (the walk `enumerate_elements(max_length,
-    I=I)`, or one element) get the ids 0, 1, ... in their order; `walked` is
-    their number.  The transition of rep k by s is
+    The walk `enumerate_elements(max_length, I=I)` is the table: its
+    representatives get the ids 0, 1, ... in their order, and no other
+    representative is ever made.  The transition of rep k by s is
       (UP, j)    when rep_k s is longer and I-reduced, rep_j = rep_k s;
       (DOWN, j)  when s is a right descent of rep_k, rep_j = rep_k s;
       (CONJ, t)  when rep_k s is longer but not I-reduced: rep_k s = t rep_k
                  with t the single left descent of rep_k s in I (Deodhar).
     A transition is read off the coset vector of rep k (`coxeter`) the first
-    time it is asked for.  A representative reached past the given ones gets
-    the next id; its ShortLex word is the one product rep_k * s that the
-    kernel makes here.
+    time it is asked for, with no product of elements.  An UP step past a
+    truncated walk keeps its kind and has j None: `climb` and `rewrite`
+    raise CoxeterError there.
     """
 
-    def __init__(self, system: CoxeterSystem, I, reps: Iterable[CoxElem]):
+    def __init__(self, system: CoxeterSystem, I, walk: Iterable[CoxElem]):
         self.system = system
         self.I = frozenset(I)
         self.reps, self.vectors, self.ids = [], [], {}
-        # in a walk, the longest proper prefix of a rep comes before it, and
+        # the longest proper prefix of a rep comes before it in the walk, and
         # the rep's coset vector is one step from the prefix's
         by_word = {}
-        for w in reps:
-            k = by_word.get(w.word[:-1]) if w.word else None
-            if k is None:
-                r = system._coset_vector(self.I, w.word)
+        for w in walk:
+            if w.word:
+                r = system._coset_step(self.vectors[by_word[w.word[:-1]]], w.word[-1])[1]
             else:
-                r = system._coset_step(self.vectors[k], w.word[-1])[1]
-            by_word[w.word] = self._add(w, r)
-        self.walked = len(self.reps)
+                r = system._coset_vector(self.I)
+            by_word[w.word] = self.ids[r] = len(self.reps)
+            self.reps.append(w)
+            self.vectors.append(r)
         self.moves = {}
         self.simple_roots = {system._root((), t): t for t in self.I}
 
-    def _add(self, rep: CoxElem, r: tuple) -> int:
-        self.ids[r] = len(self.reps)
-        self.reps.append(rep)
-        self.vectors.append(r)
-        return self.ids[r]
-
-    def step(self, k: int, s: int) -> Tuple[str, int]:
+    def step(self, k: int, s: int) -> Tuple[str, Optional[int]]:
         if (k, s) not in self.moves:
             self.moves[k, s] = self._fill(k, s)
         return self.moves[k, s]
 
-    def _fill(self, k: int, s: int) -> Tuple[str, int]:
+    def _fill(self, k: int, s: int) -> Tuple[str, Optional[int]]:
         sign, r = self.system._coset_step(self.vectors[k], s)
         if not sign:
             return CONJ, self.simple_roots[self.system._root(self.reps[k].word, s)]
-        j = self.ids.get(r)
-        if j is None:
-            j = self._add(self.reps[k] * self.system.gen(s), r)
-        return (UP if sign > 0 else DOWN), j
+        return (UP if sign > 0 else DOWN), self.ids.get(r)
+
+    def _past_walk(self, k: int, s: int) -> CoxeterError:
+        return CoxeterError(f"{self.reps[k]} times {self.system.labels[s]} "
+                            "leaves the walk")
 
     def climb(self, k: int, word: Sequence[int]) -> int:
         """The id of rep_k * word, raising CoxeterError unless every letter
-        is an UP step."""
+        is an UP step inside the walk."""
         for s in word:
             kind, j = self.step(k, s)
             if kind != UP:
                 raise CoxeterError(
                     f"{self.reps[k]} times {self.system.labels[s]} is not "
                     + ("reduced" if kind == DOWN else "I-reduced"))
+            if j is None:
+                raise self._past_walk(k, s)
             k = j
         return k
 
@@ -196,13 +196,16 @@ class CosetTable:
         """Schreier rewriting of the signed letters read from rep k: the
         emitted word over the generators of D_I and the id reached.  A CONJ
         letter emits t; an UP step read backwards, or a DOWN step read
-        forwards, emits a_{b,s} with b the shorter of its two ends."""
+        forwards, emits a_{b,s} with b the shorter of its two ends.  Raises
+        CoxeterError when a letter leaves the walk."""
         out = []
         for s, e in letters:
             kind, j = self.step(k, s)
             if kind == CONJ:
                 out.append((cox_symbol(j), e))
                 continue
+            if j is None:
+                raise self._past_walk(k, s)
             if (kind == DOWN) == (e == 1):
                 out.append((pure_symbol(self.reps[j if kind == DOWN else k], s), e))
             k = j
@@ -210,35 +213,16 @@ class CosetTable:
 
     def generators(self) -> List[Symbol]:
         """The a_{b,s} with b walked and b s an UP step, by symbol_key: read
-        off the sign of entry s of the coset vector of b, so that no step is
-        taken, nor a representative past the walk made."""
+        off the sign of entry s of the coset vector of b, so that b s need
+        not be in the walk."""
         ring, _ = self.system._cartan_rows()
-        return sorted((pure_symbol(self.reps[k], s) for k in range(self.walked)
-                       for s in range(self.system.rank)
-                       if ring.sign(self.vectors[k][s]) > 0),
+        return sorted((pure_symbol(b, s) for b, r in zip(self.reps, self.vectors)
+                       for s in range(self.system.rank) if ring.sign(r[s]) > 0),
                       key=symbol_key)
-
-
-def schreier_rewrite(b: BraidWord, I) -> Tuple[Word, CoxElem]:
-    """Rewrite b as (word over generators of D_I) * (reduced lift of a rep).
-
-    The identity b = word * lift(rep) holds in B_W and is certified by eval_Np
-    in the tests.
-    """
-    table = CosetTable(b.system, I, [b.system.identity])
-    out, k = table.rewrite(0, b.letters)
-    return free_reduce(out), table.reps[k]
 
 
 # ---------------------------------------------------------------------------
 # generators
-
-
-def presentation_generators(system: CoxeterSystem, I,
-                            max_length: Optional[int] = None) -> List[Symbol]:
-    """All a_{b,s} with b*s reduced and I-reduced (Schreier generators)."""
-    I = tuple(sorted(set(I)))
-    return CosetTable(system, I, system.enumerate_elements(max_length, I=I)).generators()
 
 
 def minimal_generating_set(system: CoxeterSystem, I,
@@ -257,10 +241,13 @@ def minimal_generating_set(system: CoxeterSystem, I,
 
 
 def _a_super(table: CosetTable, b0: int, s: int, t: int, j: int) -> Symbol:
-    """a^{(j)}_{b0,s,t} = a_{b0 . (s t s ...)_j, r}, r = s for even j, t for odd."""
+    """a^{(j)}_{b0,s,t} = a_{b0 . (s t s ...)_j, r}, r = s for even j, t for odd;
+    base . r is an UP step, which may leave the walk."""
     base = table.climb(b0, _alt(s, t, j))
     r = s if j % 2 == 0 else t
-    table.climb(base, (r,))
+    if table.step(base, r)[0] != UP:
+        raise CoxeterError(f"{table.reps[base]} times {table.system.labels[r]} "
+                           "is not an UP step")
     return pure_symbol(table.reps[base], r)
 
 
@@ -306,22 +293,6 @@ def relation_for(table: CosetTable, b0: int, s: int, t: int,
     return normalize_relation(lhs, rhs)
 
 
-def decompose_alternating(b: CoxElem, s: int, t: int):
-    """(b0, x, y, i) with b = b0 (x y x ...)_i, l(b) = l(b0) + i, {x, y} =
-    {s, t} and neither s nor t a right descent of b0: the parabolic
-    decomposition for W_{s,t}, found by peeling right descents in {s, t}.
-    The tail fixes the orientation except when i is 0 or m(s, t); then x is
-    the smaller letter."""
-    table = CosetTable(b.system, (), [b])
-    k, peeled = 0, []
-    while d := [r for r in sorted((s, t)) if table.step(k, r)[0] == DOWN]:
-        peeled.append(d[0])
-        k = table.step(k, d[0])[1]
-    i = len(peeled)
-    x = min(s, t) if i in (0, b.system.m(s, t)) else peeled[-1]
-    return table.reps[k], x, s + t - x, i
-
-
 def rewrite_braid_relation(table: CosetTable, rep: int, s: int,
                            t: int) -> Optional[Tuple[Word, Word]]:
     """Raw Schreier rewriting of rep (sts..)_m = rep (tst..)_m, read from e
@@ -344,7 +315,7 @@ def _relation_instances(table: CosetTable):
     first when one is a CONJ step (family (2)).  Each representative b0 w,
     w in W_{s,t}, that is I-reduced is reached once per couple s < t."""
     system = table.system
-    for b0 in range(table.walked):
+    for b0 in range(len(table.reps)):
         for s in range(system.rank):
             for t in range(s + 1, system.rank):
                 m = system.m(s, t)
@@ -451,22 +422,20 @@ def presentation_DI(system: CoxeterSystem, I, max_length: Optional[int] = None,
     gens = [cox_symbol(i) for i in I] + table.generators()
     relations = set()
     for b0, s, t, i in _relation_instances(table):
-        if i == system.m(s, t) and not family1_top:
+        m = system.m(s, t)
+        if i == m and not family1_top:
             continue
-        if max_length is not None and len(table.reps[b0]) + i > max_length:
+        # an instance of level i >= 1 is stated at a representative of length
+        # len(b0) + i, and its generators have bases of length up to
+        # len(b0) + m - 1 in family (1) (b0 t an UP step), len(b0) + m - 2 in
+        # family (2)
+        if max_length is not None and i and len(table.reps[b0]) + max(
+                i, m - 1 if table.step(b0, t)[0] == UP else m - 2) > max_length:
             partial = True
             continue
         rel = relation_for(table, b0, s, t, i)
-        if rel is None:
-            continue
-        # family (1) at level i references bases up to length
-        # len(b0) + m - 1, which can exceed a truncation cap
-        if max_length is not None and any(
-                sym[0] == "a" and len(sym[1]) > max_length
-                for side in rel for sym, _ in side):
-            partial = True
-            continue
-        relations.add(rel)
+        if rel is not None:
+            relations.add(rel)
     relations = sorted(relations, key=lambda r: (word_key(r[0]), word_key(r[1])))
     return Presentation(system, I, gens, relations, partial=partial)
 
@@ -800,91 +769,3 @@ def standard_chain(system: CoxeterSystem) -> list:
     if name.startswith("D"):
         return [(), ()] + [tuple(range(k)) for k in range(2, n + 1)]
     return [tuple(range(k)) for k in range(n + 1)]
-
-
-# ---------------------------------------------------------------------------
-# the greatest I-reduced element and unique writing
-
-
-def max_I_reduced(system: CoxeterSystem, I) -> CoxElem:
-    """b^I = w_I^{-1} w_S, the greatest I-reduced element (finite W)."""
-    I = tuple(sorted(set(I)))
-    wS = longest_element(system)
-    if not I:
-        return wS
-    return longest_element(system, I).inv() * wS
-
-
-def unique_writing(w: CoxElem) -> bool:
-    """Whether the lift of w has a single positive writing (reduced word)."""
-    return len(w.reduced_words()) == 1
-
-
-def writings_count(w: CoxElem) -> int:
-    return len(w.reduced_words())
-
-
-# ---------------------------------------------------------------------------
-# dihedral conjugation criterion (Lemme "s'*a_b1s*s' inv")
-
-
-def dihedral_conjugation_test(b: CoxElem, s_prime: int, I) -> Optional[int]:
-    """The unique t with b^{-1} s' b in B_{s,t}, i.e. with a type-(2) relation
-    conjugating a generator based at b by s'; None when no such t exists.
-
-    Decided at the Coxeter level through the alternating decomposition
-    b = b0 (sts..)_i with s' b0 = b0 t.
-    """
-    system = b.system
-    I = tuple(sorted(set(I)))
-    if s_prime not in I:
-        raise CoxeterError("s' must lie in I")
-    found = set()
-    for s in range(system.rank):
-        for t in range(system.rank):
-            if s == t or system.m(s, t) is None:
-                continue
-            b0, x, y, i = decompose_alternating(b, s, t)
-            # realign the oriented decomposition on the couple (s, t)
-            if (x, y) != (s, t) and i > 0:
-                continue
-            if not is_I_reduced(b0 * system.gen(s), I):
-                continue
-            if system.gen(s_prime) * b0 == b0 * system.gen(t):
-                found.add(t)
-    if not found:
-        return None
-    if len(found) > 1:
-        raise CoxeterError(f"ambiguous conjugating generator: {sorted(found)}")
-    return found.pop()
-
-
-# ---------------------------------------------------------------------------
-# I-reduced reflections vs the inversion set of w_I w_S
-
-
-def reflections_vs_nbar_check(system: CoxeterSystem, I,
-                              max_length: Optional[int] = None) -> dict:
-    """Finite W: {p(b s b~) : b s I-reduced} = nbar(w_I w_S).  Infinite W:
-    list the reflections (up to max_length) outside W_I with no I-reduced
-    witness b s such that b s b~ is a reduced lift."""
-    I = tuple(sorted(set(I)))
-    if system.is_finite():
-        witnessed = {system.normal_form(b + (s,) + b[::-1])
-                     for _, b, s in minimal_generating_set(system, I, max_length)}
-        target = nbar(max_I_reduced(system, I))
-        return {"finite": True, "equal": witnessed == target,
-                "count": len(witnessed),
-                "missing": sorted(str(t) for t in target - witnessed),
-                "extra": sorted(str(t) for t in witnessed - target)}
-    # by positive roots: a reflection lies in W_I iff its root's support
-    # does, and is witnessed iff minimal_generating_set keys its root
-    witnessed = system._root_walk(I, max_length)
-    zero = system._cartan_rows()[0].zero
-    missing = []
-    for r in reflections(system, max_length=max_length):
-        root = system._root(r.witness_u.word, r.witness_s)
-        if root not in witnessed and any(c != zero for j, c in enumerate(root)
-                                         if j not in I):
-            missing.append(str(r.element))
-    return {"finite": False, "count": len(witnessed), "missing": sorted(missing)}

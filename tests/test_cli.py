@@ -41,6 +41,14 @@ def test_admissible_positive_and_negative(capsys):
     assert json.loads(out) == {"admissible": True, "witness": "s1", "set": ["s1"]}
 
 
+def test_admissible_exits_1_on_a_wrong_witness(capsys, monkeypatch):
+    # the witness check holds under python -O, where asserts are stripped
+    monkeypatch.setattr(cli, "nbar", lambda w: set())
+    code, out, err = run(capsys, "admissible", "--type", "A2", "--set", "s1, s1 s2 s1")
+    assert (code, out) == (1, "")
+    assert "the witness s1 s2 does not have the set as its inversion set" in err
+
+
 def test_admissible_empty_set_is_the_inversion_set_of_e(capsys):
     for text in ("", " "):
         code, out, _ = run(capsys, "admissible", "--type", "A3", "--set", text)

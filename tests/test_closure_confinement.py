@@ -21,8 +21,6 @@ CLOSURE_SCOPES = {
 }
 REDUCED_WORDS_SCOPES = {
     "coxeter.CoxElem.descents",
-    "schreier.unique_writing",
-    "schreier.writings_count",
 }
 
 

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from paper_claims import in_parabolic, make_reflection
 from purebraid.coxeter import (
     CoxElem,
     CoxeterError,
@@ -12,12 +13,10 @@ from purebraid.coxeter import (
     _RealCyclotomic,
     coset_rep,
     exchange_witness,
-    in_parabolic,
     is_I_reduced,
     is_reflection,
     load_system,
     longest_element,
-    make_reflection,
     named_system,
     palindromize,
     parabolic_elements,

@@ -2,6 +2,12 @@ import random
 
 import pytest
 
+from paper_claims import (
+    change_of_basis_check,
+    conj_tower_check,
+    d_commutation_regression,
+    is_automorphism,
+)
 from purebraid.braid import BraidWord
 from purebraid.coxeter import CoxeterError
 from purebraid.free_actions import (
@@ -10,14 +16,10 @@ from purebraid.free_actions import (
     act,
     action_model,
     aut_invert,
-    change_of_basis_check,
     composite_aut,
-    conj_tower_check,
     corrupted_model,
-    d_commutation_regression,
     equal_modulo_commutations,
     generic_braid_pair,
-    is_automorphism,
     nontriviality_sample,
     verify_braid_relations,
 )

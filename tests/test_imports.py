@@ -60,11 +60,34 @@ def imported_modules(source: str) -> set:
     return out
 
 
+def imports_between(source: str, module: str) -> set:
+    """The imports of `module` (a purebraid module) that a source makes."""
+    name = f"purebraid.{module}"
+    return {m for m in imported_modules(source) if m == name or m.startswith(name + ".")}
+
+
 def test_kernel_does_not_import_its_oracles():
     # the oracles check the kernel, so the kernel keeps its own arithmetic
     source = (SRC / "coxeter.py").read_text(encoding="utf-8")
-    assert not any(m == "purebraid.oracles" or m.startswith("purebraid.oracles.")
-                   for m in imported_modules(source))
+    assert imports_between(source, "oracles") == set()
+
+
+@pytest.mark.parametrize("importer,imported", [("schreier", "nmap"),
+                                               ("free_actions", "schreier")])
+def test_layering(importer, imported):
+    # the presentations need no (N, p) of elements, and the action tables
+    # no Schreier rewriting: what linked them was test-only code
+    source = (SRC / f"{importer}.py").read_text(encoding="utf-8")
+    assert imports_between(source, imported) == set()
+
+
+def test_detects_imports_between_modules():
+    for source in ("from .nmap import nbar\n", "from . import nmap\n",
+                   "import purebraid.nmap\n", "from purebraid.nmap import x\n",
+                   "def f():\n    from .nmap import nbar\n"):
+        assert imports_between(source, "nmap"), source
+    assert imports_between("from .coxeter import nmap_of\n", "nmap") == set()
+    assert imports_between("from .nmaps import x\n", "nmap") == set()
 
 
 def test_detects_imports_of_the_oracles():

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from paper_claims import monoid_monotonicity_check
 from purebraid.braid import BraidWord, lift
 from purebraid.coxeter import CoxeterError, is_reflection, named_system, reflections
 from purebraid.nmap import (
@@ -12,7 +13,6 @@ from purebraid.nmap import (
     eval_Np,
     in_image_of_N,
     is_admissible,
-    monoid_monotonicity_check,
     nbar,
     splitting_parity_witness,
 )

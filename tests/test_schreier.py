@@ -15,6 +15,12 @@ from golden_tables import (
     golden_B,
     golden_I2,
 )
+from paper_claims import (
+    decompose_alternating,
+    dihedral_conjugation_test,
+    max_I_reduced,
+    reflections_vs_nbar_check,
+)
 import purebraid
 from purebraid.braid import BraidWord, lift
 from purebraid.coxeter import (
@@ -29,29 +35,22 @@ from purebraid.coxeter import (
 from purebraid.nmap import SemidirectElem, ZTVector, eval_Np, nbar
 from purebraid.schreier import (
     CONJ,
+    DOWN,
     UP,
     CosetTable,
     Presentation,
     abelianization,
     crosscheck_closed_vs_raw,
-    decompose_alternating,
     devissage,
-    dihedral_conjugation_test,
-    max_I_reduced,
     minimal_generating_set,
     presentation_DI,
-    presentation_generators,
     presentation_pure,
-    reflections_vs_nbar_check,
-    schreier_rewrite,
     semidirect_split,
     soundness_report,
     standard_chain,
     symbol_to_braid,
-    unique_writing,
     word_str,
     word_to_braid,
-    writings_count,
 )
 
 
@@ -113,7 +112,7 @@ def test_one_positive_root_per_reflection(name):
     system = named_system(name)
     table = CosetTable(system, (), system.enumerate_elements())
     keys = {system._root(table.reps[k].word, s)
-            for k in range(table.walked) for s in range(system.rank)
+            for k in range(len(table.reps)) for s in range(system.rank)
             if table.step(k, s)[0] == UP}
     assert len(keys) == (H4_REFLECTIONS if name == "H4" else len(reflections(system)))
     assert len(minimal_generating_set(system, ())) == len(keys)
@@ -138,7 +137,7 @@ def test_affine_counterexample():
 
 def test_presentation_generators_are_valid():
     system = named_system("B3")
-    for g in presentation_generators(system, (0, 1)):
+    for g in CosetTable(system, (0, 1), system.enumerate_elements(I=(0, 1))).generators():
         _, base, s = g
         bs = system.normal_form(base + (s,))
         assert len(bs) == len(base) + 1
@@ -150,16 +149,19 @@ def test_presentation_generators_are_valid():
 
 
 def test_schreier_rewrite_certificate():
-    # the letters of a word reach representatives that no walk listed
+    # b = word * lift(rep) in B_W, rep the representative its letters reach
+    # in a walk as long as the longest word
     rng = random.Random(0)
     for name, I, max_letters in (("B3", (0, 1), 8), ("D4", (0,), 10),
                                  ("Atilde2", (0, 1), 10)):
         system = named_system(name)
+        table = CosetTable(system, I, system.enumerate_elements(max_letters, I=I))
         for _ in range(40):
             k = rng.randrange(1, max_letters + 1)
             b = BraidWord(system, [(rng.randrange(system.rank), rng.choice((1, -1)))
                                    for _ in range(k)])
-            word, rep = schreier_rewrite(b, I)
+            word, j = table.rewrite(0, b.letters)
+            rep = table.reps[j]
             recomposed = word_to_braid(system, word) * lift(rep)
             assert eval_Np(recomposed) == eval_Np(b)
             # the representative is the I-reduced representative of p(b)
@@ -190,40 +192,64 @@ def test_coset_table_agrees_with_the_kernel(name, I, max_length):
             if kind == CONJ:
                 assert len(ws) == len(rep) + 1 and not is_I_reduced(ws, I)
                 assert [t for t in I if system.gen(t) * rep == ws] == [x]
+            elif x is None:
+                # a step that leaves a truncated walk: UP, with no representative
+                assert kind == UP and len(rep) == max_length
+                assert len(ws) == len(rep) + 1 and is_I_reduced(ws, I)
             else:
                 assert table.reps[x] == ws and is_I_reduced(ws, I)
                 assert len(ws) == len(rep) + (1 if kind == UP else -1)
-    assert table.walked == len(walk) and table.reps[:len(walk)] == walk
+    assert len(table.reps) == len(walk) and table.reps == walk
+
+
+def test_climb_and_rewrite_stop_at_the_end_of_the_walk():
+    system = named_system("Atilde2")
+    table = CosetTable(system, (), system.enumerate_elements(2))
+    assert table.climb(0, (0, 1)) == table.reps.index(system.normal_form((0, 1)))
+    for run in (lambda: table.climb(0, (0, 1, 2)),
+                lambda: table.rewrite(0, [(0, 1), (1, -1), (2, 1)])):
+        with pytest.raises(CoxeterError, match="leaves the walk"):
+            run()
+    # a DOWN step never leaves the walk
+    assert all(table.step(k, s)[1] is not None for k in range(len(table.reps))
+               for s in range(system.rank) if table.step(k, s)[0] == DOWN)
+
+
+# the 5-5-5 triangle group, hyperbolic: its walks are cut at max_length 12
+TRIANGLE_555 = '{"rank": 3, "m": [[1, 5, 5], [5, 1, 5], [5, 5, 1]]}'
 
 
 @pytest.mark.parametrize("name", ["D4", "H3", "A4"])
 def test_schreier_kernel_call_budget(name, monkeypatch):
-    # the walk computes each product rep * s once and the coset table reads
-    # it once more: 2 rank |W^I| calls of the kernel, whatever is rewritten
+    # the walk and the coset table read every step off a coset vector: no
+    # product of elements, whatever is rewritten
     calls = []
     mult_gen = CoxeterSystem._mult_gen
     monkeypatch.setattr(CoxeterSystem, "_mult_gen",
                         lambda self, word, s: calls.append(1) or mult_gen(self, word, s))
     for I, run in (((), presentation_pure), ((0,), presentation_DI),
                    ((0,), crosscheck_closed_vs_raw), ((0,), semidirect_split)):
-        system = named_system(name)
-        size = sum(1 for _ in named_system(name).enumerate_elements(I=I))
-        calls.clear()
-        run(system, *([I] if I else []))
-        assert len(calls) <= 3 * system.rank * size, run.__name__
+        run(named_system(name), *([I] if I else []))
+        assert calls == [], run.__name__
 
 
 def test_generators_take_no_step_on_a_truncated_walk(monkeypatch):
     # whether b s is an UP step is the sign of entry s of the coset vector
-    # of b: the generators of a truncated walk need no product of elements
+    # of b: the generators of a truncated walk need no product of elements,
+    # and presentation_DI drops the instances that leave the walk by the
+    # lengths of their bases, without climbing them
     calls = []
     mult_gen = CoxeterSystem._mult_gen
     monkeypatch.setattr(CoxeterSystem, "_mult_gen",
                         lambda self, word, s: calls.append(1) or mult_gen(self, word, s))
-    triangle = '{"rank": 3, "m": [[1, 5, 5], [5, 1, 5], [5, 5, 1]]}'
     for I in ((), (0,), (0, 1)):
-        gens = presentation_generators(system_from_json(triangle), I, max_length=12)
+        system = system_from_json(TRIANGLE_555)
+        gens = CosetTable(system, I, system.enumerate_elements(12, I=I)).generators()
         assert calls == [] and len(gens) == {(): 15735, (0,): 10274, (0, 1): 5029}[I]
+        p = presentation_DI(system, I, max_length=12)
+        assert p.partial and p.pure_generators() == gens
+        assert crosscheck_closed_vs_raw(system, I, max_length=12)["passed"]
+        assert calls == [], I
 
 
 @pytest.mark.parametrize("name,I", [
@@ -520,22 +546,39 @@ def test_devissage_totals_the_reflections(name, reflection_count):
         == reflection_count
 
 
-@pytest.mark.parametrize("name", ["A3", "B3", "H3", "D4", "I2(5)", "I2(7)"])
+@pytest.mark.parametrize("name", ["A3", "B3", "H3", "A4", "D4", "I2(5)", "I2(7)",
+                                  "Atilde2", "triangle 5-5-5"])
 def test_schreier_rewriting_never_runs_the_closure(name, monkeypatch):
-    calls = []
-    braid_class = CoxeterSystem.braid_class
-    monkeypatch.setattr(CoxeterSystem, "braid_class",
-                        lambda self, word: calls.append(1) or braid_class(self, word))
-    runs = [lambda s: presentation_pure(s),
-            lambda s: devissage(s, standard_chain(s))]
-    for i in range(named_system(name).rank):
-        runs += [lambda s, i=i: presentation_DI(s, (i,)),
-                 lambda s, i=i: crosscheck_closed_vs_raw(s, (i,)),
-                 lambda s, i=i: semidirect_split(s, (i,))]
+    # every step of the rewriting and of the certificates is read off coset
+    # vectors and roots: with the braid-move closure and the product of
+    # elements switched off, each run passes on a fresh system
+    def kernel(self, *args):
+        raise AssertionError("an element product or the closure was run")
+
+    monkeypatch.setattr(CoxeterSystem, "braid_class", kernel)
+    monkeypatch.setattr(CoxeterSystem, "_mult_gen", kernel)
+    cap = {"Atilde2": 6, "triangle 5-5-5": 12}.get(name)
+
+    def fresh():
+        return system_from_json(TRIANGLE_555) if name.startswith("triangle") \
+            else named_system(name)
+
+    def certified(p):
+        assert soundness_report(p)["passed"]
+        assert abelianization(p)["free_rank"] > 0
+
+    runs = [lambda s: certified(presentation_pure(s, max_length=cap))]
+    if cap is None:
+        runs.append(lambda s: devissage(s, standard_chain(s)))
+    # the capped diagrams are triangles with equal bonds: s1 stands for all
+    for i in range(fresh().rank if cap is None else 1):
+        runs += [lambda s, i=i: certified(presentation_DI(s, (i,), max_length=cap)),
+                 lambda s, i=i: crosscheck_closed_vs_raw(s, (i,), max_length=cap),
+                 lambda s, i=i: semidirect_split(s, (i,), max_length=cap)]
     for run in runs:
-        system = named_system(name)
+        system = fresh()
         run(system)
-        assert calls == [] and system._class_cache == {}
+        assert system._class_cache == {}
 
 
 def test_devissage_rejects_bad_chains():
@@ -563,12 +606,11 @@ def test_max_I_reduced_words():
 
 def test_unique_writing():
     a3 = named_system("A3")
-    assert unique_writing(max_I_reduced(a3, (0, 1)))
+    assert len(max_I_reduced(a3, (0, 1)).reduced_words()) == 1
     b3 = named_system("B3")
-    assert unique_writing(max_I_reduced(b3, (0, 1)))
+    assert len(max_I_reduced(b3, (0, 1)).reduced_words()) == 1
     d4 = named_system("D4")
-    assert writings_count(max_I_reduced(d4, (0, 1, 2))) == 2
-    assert not unique_writing(max_I_reduced(d4, (0, 1, 2)))
+    assert len(max_I_reduced(d4, (0, 1, 2)).reduced_words()) == 2
 
 
 @pytest.mark.parametrize("system, max_length", [
@@ -577,12 +619,13 @@ def test_unique_writing():
     (CoxeterSystem([[1, None, 2], [None, 1, 4], [2, 4, 1]]), 5),
 ], ids=["A3", "B3", "H3", "I2(5)", "Atilde2", "infinite_bond"])
 def test_decompose_alternating(system, max_length):
-    for b in system.enumerate_elements(max_length=max_length):
+    table = CosetTable(system, (), system.enumerate_elements(max_length=max_length))
+    for j, b in enumerate(table.reps):
         for s in range(system.rank):
             for t in range(system.rank):
                 if s == t:
                     continue
-                b0, x, y, i = decompose_alternating(b, s, t)
+                b0, x, y, i = decompose_alternating(table, j, s, t)
                 assert {x, y} == {s, t}
                 tail = system.normal_form(tuple(x if k % 2 == 0 else y for k in range(i)))
                 assert b0 * tail == b and len(b0) + len(tail) == len(b) == len(b0) + i
