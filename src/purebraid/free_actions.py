@@ -360,9 +360,8 @@ def verify_braid_relations(model: ActionModel) -> dict:
     checks = []
     failures = []
     for i in range(len(model.acting)):
-        f = model.aut(model.acting[i])
         try:
-            aut_invert(f)
+            model.aut(model.acting[i], -1)
         except CoxeterError as exc:
             failures.append({"generator": model.acting[i], "error": str(exc)})
         for j in range(i + 1, len(model.acting)):

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import heapq
 import json
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .braid import BraidWord
 from .coxeter import (
@@ -133,8 +133,9 @@ class CosetTable:
     representatives of a walk.
 
     The walk `enumerate_elements(max_length, I=I)` is the table: its
-    representatives get the ids 0, 1, ... in their order, and no other
-    representative is ever made.  The transition of rep k by s is
+    representatives get the ids 0, 1, ... in their order, with the coset
+    vectors the walk reached them by, and no other representative is ever
+    made.  An infinite W needs max_length.  The transition of rep k by s is
       (UP, j)    when rep_k s is longer and I-reduced, rep_j = rep_k s;
       (DOWN, j)  when s is a right descent of rep_k, rep_j = rep_k s;
       (CONJ, t)  when rep_k s is longer but not I-reduced: rep_k s = t rep_k
@@ -145,21 +146,16 @@ class CosetTable:
     raise CoxeterError there.
     """
 
-    def __init__(self, system: CoxeterSystem, I, walk: Iterable[CoxElem]):
+    def __init__(self, system: CoxeterSystem, I, max_length: Optional[int] = None):
+        if max_length is None and not system.is_finite():
+            raise CoxeterError("max_length required for an infinite system")
         self.system = system
         self.I = frozenset(I)
-        self.reps, self.vectors, self.ids = [], [], {}
-        # the longest proper prefix of a rep comes before it in the walk, and
-        # the rep's coset vector is one step from the prefix's
-        by_word = {}
-        for w in walk:
-            if w.word:
-                r = system._coset_step(self.vectors[by_word[w.word[:-1]]], w.word[-1])[1]
-            else:
-                r = system._coset_vector(self.I)
-            by_word[w.word] = self.ids[r] = len(self.reps)
-            self.reps.append(w)
-            self.vectors.append(r)
+        self.reps, self.vectors = [], []
+        for level in system._levels(self.I, max_length):
+            self.vectors.extend(level.keys())
+            self.reps.extend(CoxElem(system, w) for w in level.values())
+        self.ids = {r: k for k, r in enumerate(self.vectors)}
         self.moves = {}
         self.simple_roots = {system._root((), t): t for t in self.I}
 
@@ -418,7 +414,7 @@ def presentation_DI(system: CoxeterSystem, I, max_length: Optional[int] = None,
     """
     I = tuple(sorted(set(I)))
     partial = max_length is not None and not system.is_finite()
-    table = CosetTable(system, I, system.enumerate_elements(max_length, I=I))
+    table = CosetTable(system, I, max_length)
     gens = [cox_symbol(i) for i in I] + table.generators()
     relations = set()
     for b0, s, t, i in _relation_instances(table):
@@ -453,7 +449,7 @@ def crosscheck_closed_vs_raw(system: CoxeterSystem, I,
     relation_for at each instance against rewrite_braid_relation at the
     representative the instance is stated for."""
     I = tuple(sorted(set(I)))
-    table = CosetTable(system, I, system.enumerate_elements(max_length, I=I))
+    table = CosetTable(system, I, max_length)
     checked = 0
     failures = []
     for b0, s, t, i in _relation_instances(table):
@@ -479,16 +475,17 @@ def soundness_report(p: Presentation) -> dict:
     (N, p) is evaluated in the reflection representation, with no product
     of elements: a reflection w s w^-1 is read as its positive root
     +-w(a_s), and an element w of W as its frame, the roots w(a_j)
-    (`coxeter`).  The image of each symbol and sign that the relations use
-    is read once off the braid word of the symbol or of its inverse, walked
-    letter by letter with the frame of the prefix w: s^e adds e at the
-    positive root +-w(a_s).  Each side of a relation is then the product of
-    these images in ZT x| W, folded from (0, e): its W-part acts on a root
-    through the simple reflections of its word, and two W-parts are equal
-    iff their frames are.  Since (N, p) is a homomorphism, this equals
-    eval_Np of the side expanded into braid letters, without expanding it
-    and without the braid-move closure.  The images are kept for this call
-    only.
+    (`coxeter`).  Each generator has a closed-form image: s^e is
+    ({a_s: e}, s), and a_{b,s}^e is ({+-b(a_s): 2e}, 1) with a trivial
+    W-part, since N(b s^2 b^-1) = N(b) + b N(s^2) + b N(b^-1) = 2 [b(a_s)]
+    by s^2 = 1 in W and N(b) + b N(b^-1) = N(1) = 0, for any word b.  Each
+    side of a relation is then the product of these images in ZT x| W,
+    folded from (0, 1): its W-part acts on a root through the simple
+    reflections of its word, and two W-parts are equal iff their frames
+    are.  Since (N, p) is a homomorphism, this equals eval_Np of the side
+    expanded into braid letters, without expanding it and without the
+    braid-move closure.  The roots of the pure generators are kept for this
+    call only.
 
     The kernel of (N, p) is the derived subgroup D(P_W), so a pass shows
     that each relation holds in B_W / D(P_W), not that it holds in B_W; the
@@ -496,21 +493,15 @@ def soundness_report(p: Presentation) -> dict:
     """
     system = p.system
     identity = system._frame()
-    images = {}
+    roots = {}  # a_{b,s} -> the positive root +-b(a_s)
 
     def image(sym: Symbol, e: int) -> tuple:
         # ({positive root: coefficient}, a word of the W-part)
-        if (sym, e) not in images:
-            b = symbol_to_braid(system, sym)
-            b = b if e == 1 else b.inv()
-            x, frame = {}, identity
-            for s, f in b.letters:
-                root = system._positive(frame[s])
-                x[root] = x.get(root, 0) + f
-                frame = system._frame_step(frame, s)
-            word = () if frame == identity else tuple(s for s, _ in b.letters)
-            images[sym, e] = {root: c for root, c in x.items() if c}, word
-        return images[sym, e]
+        if sym[0] == "s":
+            return {identity[sym[1]]: e}, (sym[1],)
+        if sym not in roots:
+            roots[sym] = system._positive(system._root(sym[1], sym[2]))
+        return {roots[sym]: 2 * e}, ()
 
     def fold(side: Word) -> tuple:
         x, word, frame = {}, (), identity

@@ -4,8 +4,8 @@ No module of purebraid calls these: they certify lemmas of the paper (the
 dihedral conjugation criterion, b^I and the I-reduced reflections, the
 conjugation towers and the type-D commutation of the action tables, the
 monotonicity of N) or name an element-level notion (a reflection with its
-witness, membership in W_I).  Every coset table here is built from a walk,
-`enumerate_elements(max_length, I=I)`.
+witness, membership in W_I).  Every coset table here is a walk cut at the
+length it needs, `CosetTable(system, I, max_length)`.
 """
 
 from __future__ import annotations
@@ -93,7 +93,7 @@ def dihedral_conjugation_test(b: CoxElem, s_prime: int, I) -> Optional[int]:
     I = tuple(sorted(set(I)))
     if s_prime not in I:
         raise CoxeterError("s' must lie in I")
-    table = CosetTable(system, (), system.enumerate_elements(max_length=len(b)))
+    table = CosetTable(system, (), len(b))
     k = table.reps.index(b)
     found = set()
     for s in range(system.rank):
@@ -267,7 +267,7 @@ def d_commutation_regression(n: int = 4) -> dict:
     """
     system = named_system(f"D{n}")
     # the longest base below, s_n .. s_3 s2 s2', has n letters
-    table = CosetTable(system, (), system.enumerate_elements(max_length=n + 1))
+    table = CosetTable(system, (), n + 1)
 
     def pure(base_gens, s):
         # a_{b,s} needs b s reduced: climb it from e

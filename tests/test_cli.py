@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from purebraid import cli
+from purebraid import cli, free_actions
 from purebraid.cli import _sampler, main
 from purebraid.coxeter import named_system, subsystem
 
@@ -117,6 +117,20 @@ def test_verify_actions_single_acting_generator(capsys, kind, n):
     assert code == 0 and doc["passed"]
     assert doc["braid_relations"]["checks"] == []
     assert doc["controls"]["corrupted_fails"] is None
+
+
+@pytest.mark.parametrize("kind, n, inversions", [("B_ab", "7", 12), ("A", "7", 14)])
+def test_verify_actions_inverts_each_generator_once_per_model(capsys, monkeypatch,
+                                                              kind, n, inversions):
+    # the model and its corrupted copy each invert every acting generator
+    # once: the braid check and the nontriviality sample share the inverse
+    calls = []
+    invert = free_actions.aut_invert
+    monkeypatch.setattr(free_actions, "aut_invert",
+                        lambda f: calls.append(1) or invert(f))
+    code, out, _ = run(capsys, "verify-actions", "--kind", kind, "--n", n)
+    assert code == 0 and json.loads(out)["passed"]
+    assert len(calls) == inversions
 
 
 def test_verify_actions_text(capsys):

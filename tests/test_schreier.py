@@ -22,6 +22,7 @@ from paper_claims import (
     reflections_vs_nbar_check,
 )
 import purebraid
+from purebraid import schreier
 from purebraid.braid import BraidWord, lift
 from purebraid.coxeter import (
     CoxeterError,
@@ -110,7 +111,7 @@ def test_one_positive_root_per_reflection(name):
     # per reflection; a Cartan split that is not symmetric on odd bonds
     # gives conjugate generators roots in different ratios, and more keys
     system = named_system(name)
-    table = CosetTable(system, (), system.enumerate_elements())
+    table = CosetTable(system, ())
     keys = {system._root(table.reps[k].word, s)
             for k in range(len(table.reps)) for s in range(system.rank)
             if table.step(k, s)[0] == UP}
@@ -137,7 +138,7 @@ def test_affine_counterexample():
 
 def test_presentation_generators_are_valid():
     system = named_system("B3")
-    for g in CosetTable(system, (0, 1), system.enumerate_elements(I=(0, 1))).generators():
+    for g in CosetTable(system, (0, 1)).generators():
         _, base, s = g
         bs = system.normal_form(base + (s,))
         assert len(bs) == len(base) + 1
@@ -155,7 +156,7 @@ def test_schreier_rewrite_certificate():
     for name, I, max_letters in (("B3", (0, 1), 8), ("D4", (0,), 10),
                                  ("Atilde2", (0, 1), 10)):
         system = named_system(name)
-        table = CosetTable(system, I, system.enumerate_elements(max_letters, I=I))
+        table = CosetTable(system, I, max_letters)
         for _ in range(40):
             k = rng.randrange(1, max_letters + 1)
             b = BraidWord(system, [(rng.randrange(system.rank), rng.choice((1, -1)))
@@ -184,7 +185,7 @@ def _table_cases():
 def test_coset_table_agrees_with_the_kernel(name, I, max_length):
     system = named_system(name)
     walk = list(system.enumerate_elements(max_length, I=I))
-    table = CosetTable(system, I, walk)
+    table = CosetTable(system, I, max_length)
     for k, rep in enumerate(walk):
         for s in range(system.rank):
             kind, x = table.step(k, s)
@@ -204,7 +205,7 @@ def test_coset_table_agrees_with_the_kernel(name, I, max_length):
 
 def test_climb_and_rewrite_stop_at_the_end_of_the_walk():
     system = named_system("Atilde2")
-    table = CosetTable(system, (), system.enumerate_elements(2))
+    table = CosetTable(system, (), 2)
     assert table.climb(0, (0, 1)) == table.reps.index(system.normal_form((0, 1)))
     for run in (lambda: table.climb(0, (0, 1, 2)),
                 lambda: table.rewrite(0, [(0, 1), (1, -1), (2, 1)])):
@@ -213,6 +214,9 @@ def test_climb_and_rewrite_stop_at_the_end_of_the_walk():
     # a DOWN step never leaves the walk
     assert all(table.step(k, s)[1] is not None for k in range(len(table.reps))
                for s in range(system.rank) if table.step(k, s)[0] == DOWN)
+    # the walk of an infinite W needs a cap
+    with pytest.raises(CoxeterError, match="max_length required"):
+        CosetTable(system, ())
 
 
 # the 5-5-5 triangle group, hyperbolic: its walks are cut at max_length 12
@@ -244,7 +248,7 @@ def test_generators_take_no_step_on_a_truncated_walk(monkeypatch):
                         lambda self, word, s: calls.append(1) or mult_gen(self, word, s))
     for I in ((), (0,), (0, 1)):
         system = system_from_json(TRIANGLE_555)
-        gens = CosetTable(system, I, system.enumerate_elements(12, I=I)).generators()
+        gens = CosetTable(system, I, 12).generators()
         assert calls == [] and len(gens) == {(): 15735, (0,): 10274, (0, 1): 5029}[I]
         p = presentation_DI(system, I, max_length=12)
         assert p.partial and p.pure_generators() == gens
@@ -357,13 +361,33 @@ def test_soundness_report_never_runs_the_closure(name, monkeypatch):
     def closure(self, word):
         raise AssertionError("the braid-move closure was run")
 
+    def braid_word(system, sym):
+        raise AssertionError("a generator was expanded into its braid word")
+
     monkeypatch.setattr(CoxeterSystem, "braid_class", closure)
+    monkeypatch.setattr(schreier, "symbol_to_braid", braid_word)
     for p in presentations:
         system = named_system(name)
         report = soundness_report(Presentation(system, p.I, p.generators,
                                                p.relations, p.partial))
         assert report["passed"] and report["checked"] == len(p.relations) > 0
         assert system._class_cache == {}
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "H3", "I2(5)", "D4"])
+def test_pure_generators_equal_their_braid_words(name):
+    # a_{b,s}^e = (b s s b^-1)^e spelled in the Coxeter lifts: the image of
+    # a pure generator is e at +-b(a_s) twice over, with a trivial W-part
+    system = named_system(name)
+    for p in (presentation_pure(system), presentation_DI(system, (0,))):
+        symbols = sorted(set(p.generators) | {("s", i) for i in range(system.rank)})
+        relations = []
+        for g in p.pure_generators():
+            b = symbol_to_braid(system, g)
+            for e, braid in ((1, b), (-1, b.inv())):
+                relations.append((((g, e),), tuple((("s", s), f) for s, f in braid.letters)))
+        report = soundness_report(Presentation(system, p.I, symbols, relations))
+        assert report["passed"] and report["checked"] == 2 * len(p.pure_generators())
 
 
 def _random_relations(p, rng, count):
@@ -619,7 +643,7 @@ def test_unique_writing():
     (CoxeterSystem([[1, None, 2], [None, 1, 4], [2, 4, 1]]), 5),
 ], ids=["A3", "B3", "H3", "I2(5)", "Atilde2", "infinite_bond"])
 def test_decompose_alternating(system, max_length):
-    table = CosetTable(system, (), system.enumerate_elements(max_length=max_length))
+    table = CosetTable(system, (), max_length)
     for j, b in enumerate(table.reps):
         for s in range(system.rank):
             for t in range(system.rank):
