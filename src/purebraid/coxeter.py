@@ -1,30 +1,30 @@
 """Exact arithmetic in arbitrary Coxeter groups.
 
-Elements are stored as ShortLex-minimal reduced words.  Products, inverses,
-normal forms and descent sets (`CoxElem`) are decided by the classical
-braid-move closure (Tits): two reduced words represent the same element iff
-they are connected by braid moves, and a non-reduced word always admits,
-inside its braid-move closure, a word with two adjacent equal letters.  This
-is correct for every Coxeter system, including infinite bonds and
-non-crystallographic types, at the price of an exponential worst case;
-braid-move classes are memoized per system.
+Elements are stored as ShortLex-minimal reduced words, and everything about
+them is read off the action of W on one vector of the reflection
+representation (Bjorner-Brenti, GTM 231, ch. 4; Casselman, "Computation in
+Coxeter groups I", Electron. J. Combin. 9, 2002).  For w in W^I the coset
+vector of W_I w is r_j = x_I(w a_j), where x_I is the linear form that is 0
+on the simple roots a_i, i in I, and 1 on the others; it depends on the coset
+only and determines it.  Right multiplication by s sends r to r - A[s] r_s,
+and the sign of r_s says how s acts: r_s > 0, ws is longer and I-reduced;
+r_s < 0, ws is shorter; r_s = 0, ws = tw for the t in I with w(a_s) = a_t
+(Deodhar).  The Cartan matrix A is integral when every bond lies in
+{2, 3, 4, 6, inf}; otherwise it is the symmetric matrix of -2cos(pi/m) over
+the exact ring Z[2cos(pi/M)], with signs certified in integers.
 
+At I = () the vector of w is the heights of the roots w(a_j), and s is a
+right descent of w iff r_s < 0.  `CoxElem` products, inverses, normal forms
+and descent sets all step this vector: the ShortLex word of w peels the least
+left descent off the vector of w^-1 (`CoxeterSystem._shortlex`), with one
+vector step per letter read and per letter peeled.  This holds for every
+Coxeter system, infinite bonds and non-crystallographic types included.
 The walk of the I-reduced elements W^I (`enumerate_elements`) and the coset
-table of `schreier` read instead the action of W on one vector of the
-reflection representation (Bjorner-Brenti, GTM 231, ch. 4; Casselman,
-"Computation in Coxeter groups I", Electron. J. Combin. 9, 2002).  For w in
-W^I the coset vector of W_I w is r_j = x_I(w a_j), where x_I is the linear
-form that is 0 on the simple roots a_i, i in I, and 1 on the others; it
-depends on the coset only and determines it.  Right multiplication by s
-sends r to r - A[s] r_s, and the sign of r_s says how s acts: r_s > 0, ws is
-longer and I-reduced; r_s < 0, ws is shorter; r_s = 0, ws = tw for the t in
-I with w(a_s) = a_t (Deodhar).  The Cartan matrix A is integral when every
-bond lies in {2, 3, 4, 6, inf}; otherwise it is the symmetric matrix of
--2cos(pi/m) over the exact ring Z[2cos(pi/M)], with signs certified in
-integers.  The same walk reads the positive roots w(a_s), and with them the
-reflections (`reflections`), off the frame of w: the roots w(a_j), which
-determine w, the representation being faithful.  The (N, p) certificate of
-`schreier` computes with roots and frames alone.
+table of `schreier` step the same vectors, for any I.  The same walk reads the
+positive roots w(a_s), and with them the reflections (`reflections`), off
+the frame of w: the roots w(a_j), which determine w, the representation
+being faithful.  The (N, p) certificate of `schreier` computes with roots
+and frames alone.
 
 Finiteness is decided exactly from the Coxeter graph by the classification
 of the finite Coxeter groups (Coxeter 1935; Humphreys, Reflection Groups and
@@ -278,8 +278,6 @@ class CoxeterSystem:
         if len(set(self.labels)) != n:
             raise CoxeterError(f"labels {list(self.labels)} are not distinct")
         self.name = name
-        self._class_cache: dict = {}
-        self._identity = CoxElem(self, ())
         self._cartan = None
 
     def m(self, s: int, t: int) -> Optional[int]:
@@ -315,58 +313,15 @@ class CoxeterSystem:
     def word_str(self, word: Sequence[int]) -> str:
         return " ".join(self.labels[i] for i in word)
 
-    # -- braid-move closure ----------------------------------------------
-
-    def braid_class(self, word: Sequence[int]) -> frozenset:
-        """All words reachable from `word` by braid moves (no cancellation).
-
-        Cached; the cache is only ever fed reduced words, for which the class
-        is exactly the set of reduced expressions of the element.
-        """
-        word = tuple(word)
-        cached = self._class_cache.get(word)
-        if cached is not None:
-            return cached
-        seen = {word}
-        stack = [word]
-        while stack:
-            w = stack.pop()
-            for i in range(len(w)):
-                s = w[i]
-                for t in range(self.rank):
-                    if t == s:
-                        continue
-                    m = self.matrix[s][t]
-                    if m is None or i + m > len(w):
-                        continue
-                    if w[i:i + m] == _alt(s, t, m):
-                        w2 = w[:i] + _alt(t, s, m) + w[i + m:]
-                        if w2 not in seen:
-                            seen.add(w2)
-                            stack.append(w2)
-        cls = frozenset(seen)
-        for w in cls:
-            self._class_cache[w] = cls
-        return cls
-
-    def _canonical(self, reduced_word: Sequence[int]) -> tuple:
-        return min(self.braid_class(reduced_word))
-
-    def _mult_gen(self, word: tuple, s: int) -> tuple:
-        """Normal form of (reduced canonical word) * s."""
-        for w in self.braid_class(word):
-            if w and w[-1] == s:
-                return self._canonical(w[:-1])
-        return self._canonical(word + (s,))
+    # -- element arithmetic --------------------------------------------------
 
     def normal_form(self, word: Sequence[int]) -> "CoxElem":
         """ShortLex-minimal reduced word of the element spelled by `word`."""
-        nf = ()
+        word = tuple(word)
         for s in word:
             if not 0 <= s < self.rank:
                 raise CoxeterError(f"generator index {s} out of range")
-            nf = self._mult_gen(nf, s)
-        return CoxElem(self, nf)
+        return self._shortlex(word)
 
     def is_reduced(self, word: Sequence[int]) -> bool:
         return len(self.normal_form(word)) == len(tuple(word))
@@ -416,6 +371,27 @@ class CoxeterSystem:
         ring, _ = self._cartan_rows()
         return tuple(ring.zero if j in I else ring.one for j in range(self.rank))
 
+    def _vector(self, word: Iterable[int]) -> tuple:
+        """The coset vector at I = () of the element w spelled by `word`:
+        r_j is the height of w(a_j), so s is a right descent of w iff
+        r_s < 0."""
+        r = self._coset_vector(())
+        for s in word:
+            r = self._coset_step(r, s)[1]
+        return r
+
+    def _shortlex(self, word: Sequence[int]) -> "CoxElem":
+        """The element spelled by `word`, with its ShortLex word: the least
+        left descent s of w, the least s with r_s < 0 on the vector r of
+        w^-1, then the ShortLex word of s w, whose inverse has the vector
+        r s."""
+        ring, _ = self._cartan_rows()
+        r, nf = self._vector(reversed(word)), []
+        while (s := next((s for s, x in enumerate(r) if ring.sign(x) < 0), None)) is not None:
+            nf.append(s)
+            r = self._coset_step(r, s)[1]
+        return CoxElem(self, tuple(nf))
+
     def _act(self, word: Sequence[int], v: Sequence) -> tuple:
         """w(v), w spelled by `word` and v over the simple roots: one simple
         reflection at a time, s(v) = v - (sum_t A[s][t] v_t) a_s."""
@@ -462,7 +438,7 @@ class CoxeterSystem:
 
     @property
     def identity(self) -> "CoxElem":
-        return self._identity
+        return CoxElem(self, ())
 
     def enumerate_elements(self, max_length=None, max_elements=None,
                            I: Iterable[int] = ()) -> Iterator["CoxElem"]:
@@ -626,14 +602,10 @@ class CoxElem:
     def __mul__(self, other: "CoxElem") -> "CoxElem":
         if self.system != other.system:
             raise CoxeterError("elements of different Coxeter systems")
-        nf = self.word
-        for s in other.word:
-            nf = self.system._mult_gen(nf, s)
-        return CoxElem(self.system, nf)
+        return self.system._shortlex(self.word + other.word)
 
     def inv(self) -> "CoxElem":
-        # the reversal of a reduced word is reduced
-        return CoxElem(self.system, self.system._canonical(self.word[::-1]))
+        return self.system._shortlex(self.word[::-1])
 
     def length(self) -> int:
         return len(self.word)
@@ -643,18 +615,31 @@ class CoxElem:
 
     def conj(self, other: "CoxElem") -> "CoxElem":
         """self * other * self^-1."""
-        return self * other * self.inv()
+        if self.system != other.system:
+            raise CoxeterError("elements of different Coxeter systems")
+        return self.system._shortlex(self.word + other.word + self.word[::-1])
 
     def reduced_words(self) -> frozenset:
-        return self.system.braid_class(self.word)
+        """Every reduced word of w: those of w s followed by s, over the right
+        descents s of w, one length at a time as {x: the words of x^-1 w}."""
+        level = {self: {()}}
+        for _ in self.word:
+            below = {}
+            for x, tails in level.items():
+                for s in x.descents():
+                    below.setdefault(x * self.system.gen(s), set()).update(
+                        (s,) + t for t in tails)
+            level = below
+        return frozenset(level[self.system.identity])
 
     def descents(self, side: str = "right") -> frozenset:
-        """Generators s with l(ws) < l(w) (right) or l(sw) < l(w) (left)."""
-        if side == "right":
-            return frozenset(w[-1] for w in self.reduced_words() if w)
-        if side == "left":
-            return frozenset(w[0] for w in self.reduced_words() if w)
-        raise CoxeterError(f"side must be 'left' or 'right', got {side!r}")
+        """Generators s with l(ws) < l(w) (right) or l(sw) < l(w) (left): the
+        negative entries of the vector of w, or of w^-1 on the left."""
+        if side not in ("left", "right"):
+            raise CoxeterError(f"side must be 'left' or 'right', got {side!r}")
+        ring, _ = self.system._cartan_rows()
+        r = self.system._vector(self.word if side == "right" else self.word[::-1])
+        return frozenset(s for s, x in enumerate(r) if ring.sign(x) < 0)
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,7 @@ representative and of its bases fit the cap.
 
 Words over the presentation generators are tuples of (symbol, +-1) where a
 symbol is ("s", i) for a Coxeter-lift generator or ("a", base_word, i) for a
-pure generator a_{b,s}.  A pure generator is its symbol; `symbol_to_braid`
-gives its braid word.
+pure generator a_{b,s}.  A pure generator is its symbol.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ import heapq
 import json
 from typing import List, Optional, Sequence, Tuple
 
-from .braid import BraidWord
 from .coxeter import (
     CoxElem,
     CoxeterError,
@@ -77,21 +75,6 @@ def word_str(system: CoxeterSystem, word: Word) -> str:
         return "1"
     return " ".join(symbol_str(system, s) + ("" if e == 1 else "^-1")
                     for s, e in word)
-
-
-def symbol_to_braid(system: CoxeterSystem, sym: Symbol) -> BraidWord:
-    if sym[0] == "s":
-        return BraidWord(system, [(sym[1], 1)])
-    base = BraidWord.from_positive(system, sym[1])
-    return base * BraidWord(system, [(sym[2], 1)] * 2) * base.inv()
-
-
-def word_to_braid(system: CoxeterSystem, word: Word) -> BraidWord:
-    out = BraidWord(system)
-    for sym, e in word:
-        b = symbol_to_braid(system, sym)
-        out = out * (b if e == 1 else b.inv())
-    return out
 
 
 def normalize_relation(u: Word, v: Word) -> Optional[Tuple[Word, Word]]:
@@ -483,8 +466,8 @@ def soundness_report(p: Presentation) -> dict:
     folded from (0, 1): its W-part acts on a root through the simple
     reflections of its word, and two W-parts are equal iff their frames
     are.  Since (N, p) is a homomorphism, this equals eval_Np of the side
-    expanded into braid letters, without expanding it and without the
-    braid-move closure.  The roots of the pure generators are kept for this
+    expanded into braid letters, without expanding it and without a
+    product of elements.  The roots of the pure generators are kept for this
     call only.
 
     The kernel of (N, p) is the derived subgroup D(P_W), so a pass shows

@@ -3,9 +3,10 @@
 No module of purebraid calls these: they certify lemmas of the paper (the
 dihedral conjugation criterion, b^I and the I-reduced reflections, the
 conjugation towers and the type-D commutation of the action tables, the
-monotonicity of N) or name an element-level notion (a reflection with its
-witness, membership in W_I).  Every coset table here is a walk cut at the
-length it needs, `CosetTable(system, I, max_length)`.
+monotonicity of N), name an element-level notion (a reflection with its
+witness, membership in W_I) or spell a presentation word as a braid word.
+Every coset table here is a walk cut at the length it needs,
+`CosetTable(system, I, max_length)`.
 """
 
 from __future__ import annotations
@@ -33,8 +34,29 @@ from purebraid.schreier import (
     CosetTable,
     minimal_generating_set,
     pure_symbol,
-    symbol_to_braid,
 )
+
+# ---------------------------------------------------------------------------
+# presentation words as braid words
+
+
+def symbol_to_braid(system: CoxeterSystem, sym: tuple) -> BraidWord:
+    """The braid word of a generator symbol: s for ("s", s), and
+    b s^2 b^-1 for the pure generator ("a", b, s)."""
+    if sym[0] == "s":
+        return BraidWord(system, [(sym[1], 1)])
+    base = BraidWord.from_positive(system, sym[1])
+    return base * BraidWord(system, [(sym[2], 1)] * 2) * base.inv()
+
+
+def word_to_braid(system: CoxeterSystem, word: tuple) -> BraidWord:
+    """The braid word of a word over the generator symbols."""
+    out = BraidWord(system)
+    for sym, e in word:
+        b = symbol_to_braid(system, sym)
+        out = out * (b if e == 1 else b.inv())
+    return out
+
 
 # ---------------------------------------------------------------------------
 # reflections and parabolic subgroups

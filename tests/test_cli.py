@@ -198,6 +198,15 @@ def test_oracle_check_fails_on_a_corrupted_generator_matrix(capsys, monkeypatch)
     assert code == 1 and json.loads(out)["failures"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["--type", "D5", "--samples", "200"], ["--type", "E6", "--samples", "20"],
+], ids=" ".join)
+def test_oracle_check_reaches_uniform_elements_of_D5_and_E6(capsys, argv):
+    # uniform elements of length up to 20 (D5) and 36 (E6), with no cap
+    code, out, _ = run(capsys, "oracle-check", *argv)
+    assert code == 0 and json.loads(out)["passed"]
+
+
 def test_oracle_check_and_cocycle_without_listing_W(capsys):
     for argv in (["oracle-check", "--type", "F4", "--samples", "3"],
                  ["cocycle", "--type", "B3", "--samples", "5"]):

@@ -1,9 +1,11 @@
-"""The braid-move closure is reached only through `CoxElem` arithmetic.
+"""The element kernel is one entry, reached only through `CoxElem` arithmetic.
 
-`CoxeterSystem.braid_class` and its cache appear only in the methods that
-multiply and normalize elements and in `CoxElem.reduced_words`, and
-`reduced_words` is called only where reduced words are what is asked for.
-A swap of the element kernel then stays inside `CoxeterSystem`/`CoxElem`.
+The braid-move closure and its cache are gone from the package: they live
+on as the test oracle `closure_oracle`.  `CoxeterSystem._shortlex`, the
+ShortLex normal form, is called only by `normal_form` and the `CoxElem`
+methods that multiply, invert and conjugate, and `reduced_words` is called
+only where reduced words are what is asked for.  A swap of the element
+kernel then stays inside `CoxeterSystem`/`CoxElem`.
 """
 
 import ast
@@ -11,17 +13,15 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "purebraid"
 
-CLOSURE = {"braid_class", "_class_cache"}
-CLOSURE_SCOPES = {
-    "coxeter.CoxeterSystem.__init__",
-    "coxeter.CoxeterSystem.braid_class",
-    "coxeter.CoxeterSystem._canonical",
-    "coxeter.CoxeterSystem._mult_gen",
-    "coxeter.CoxElem.reduced_words",
+CLOSURE = {"braid_class", "_class_cache", "_canonical", "_mult_gen"}
+SHORTLEX_SCOPES = {
+    "coxeter.CoxeterSystem._shortlex",
+    "coxeter.CoxeterSystem.normal_form",
+    "coxeter.CoxElem.__mul__",
+    "coxeter.CoxElem.inv",
+    "coxeter.CoxElem.conj",
 }
-REDUCED_WORDS_SCOPES = {
-    "coxeter.CoxElem.descents",
-}
+REDUCED_WORDS_SCOPES = set()
 
 
 def _name_of(node):
@@ -63,8 +63,12 @@ def _package_scopes(names: set, calls_only=False) -> set:
                                       names, calls_only)}
 
 
-def test_the_closure_is_reached_only_by_the_kernel():
-    assert _package_scopes(CLOSURE) == CLOSURE_SCOPES
+def test_the_closure_has_left_the_package():
+    assert _package_scopes(CLOSURE) == set()
+
+
+def test_shortlex_is_reached_only_by_the_element_arithmetic():
+    assert _package_scopes({"_shortlex"}) == SHORTLEX_SCOPES
 
 
 def test_reduced_words_is_called_only_where_words_are_asked_for():

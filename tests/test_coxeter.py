@@ -1,10 +1,13 @@
+import gc
 import itertools
 import json
 import math
 import random
+import weakref
 
 import pytest
 
+import closure_oracle
 from paper_claims import in_parabolic, make_reflection
 from purebraid.coxeter import (
     CoxElem,
@@ -257,15 +260,16 @@ def test_walk_of_I_reduced_elements_is_the_filter_of_W(name, max_length):
 
 
 def _closure_walk(system, I, max_length=None):
-    """The walk of W^I by braid-move-closure products, as the walk was
-    before it read coset vectors: the sorted set of the lengthening, still
-    I-reduced right products of each level."""
+    """The walk of W^I by braid-move-closure products and descents
+    (`closure_oracle`), as the walk was before it read coset vectors: the
+    sorted set of the lengthening, still I-reduced right products of each
+    level."""
     I = frozenset(I)
 
     def up(w):
         for s in range(system.rank):
-            ws = system._mult_gen(w, s)
-            if len(ws) > len(w) and I.isdisjoint(CoxElem(system, ws).descents("left")):
+            ws = closure_oracle.mult_gen(system, w, s)
+            if len(ws) > len(w) and I.isdisjoint(closure_oracle.descents(system, ws, "left")):
                 yield ws
 
     level, out = [()], []
@@ -463,6 +467,23 @@ def test_parse_and_word_str_roundtrip():
     assert system.word_str(word) == "s2' s3 s2 s4"
     with pytest.raises(CoxeterError):
         system.parse_word("s9")
+
+
+@pytest.mark.parametrize("name", ["A3", "H3"])
+def test_a_dropped_system_is_freed_without_the_cycle_collector(name):
+    # no element is stored on its own system: reference counting alone
+    # frees a system and its Cartan data once nothing else holds it
+    system = named_system(name)
+    w = longest_element(system)
+    assert len(w.inv() * w) == 0 and w.descents("left") and w.reduced_words()
+    assert len(reflections(system)) and system.identity.is_identity()
+    ref = weakref.ref(system)
+    gc.disable()
+    try:
+        del system, w
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_descents_match_definition():

@@ -73,10 +73,12 @@ def test_kernel_does_not_import_its_oracles():
 
 
 @pytest.mark.parametrize("importer,imported", [("schreier", "nmap"),
-                                               ("free_actions", "schreier")])
+                                               ("free_actions", "schreier"),
+                                               ("schreier", "braid")])
 def test_layering(importer, imported):
-    # the presentations need no (N, p) of elements, and the action tables
-    # no Schreier rewriting: what linked them was test-only code
+    # the presentations need no (N, p) of elements and no braid words, and
+    # the action tables no Schreier rewriting: what linked them was
+    # test-only code
     source = (SRC / f"{importer}.py").read_text(encoding="utf-8")
     assert imports_between(source, imported) == set()
 

@@ -1,13 +1,15 @@
 """Property tests of the Coxeter word kernel against the independent oracles
-of purebraid.oracles, and of the N-map and the extension cocycle built on it."""
+of purebraid.oracles and the braid-move closure of closure_oracle, and of the
+N-map and the extension cocycle built on it."""
 
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+import closure_oracle  # noqa: E402
 from purebraid.braid import BraidWord  # noqa: E402
-from purebraid.coxeter import named_system  # noqa: E402
+from purebraid.coxeter import named_system, system_from_json  # noqa: E402
 from purebraid.nmap import cocycle, eval_Np  # noqa: E402
 from purebraid.oracles import MatrixOracle, PermutationOracle  # noqa: E402
 
@@ -74,6 +76,29 @@ def test_normal_form_matches_matrix_oracle_F4(case):
     assert len(el) == root_length(img)
     assert el.descents("right") == root_descents(img)
     assert el.descents("left") == root_descents(inverse)
+
+
+# small ranks, where the closure is cheap; Atilde2 is infinite, so its words
+# are short, and the triangle has the infinite bond m(s1, s2) and bonds 7, 2
+CLOSURE = {name: named_system(name) for name in ("A3", "B3", "H3", "D4", "I2(5)")}
+CLOSURE["Atilde2"] = named_system("Atilde2")
+CLOSURE["7-inf-2"] = system_from_json('{"rank": 3, "m": [[1, 7, null], [7, 1, 2], [null, 2, 1]]}')
+
+
+@settings(deterministic, max_examples=200)
+@given(cases(CLOSURE, 2, 9))
+def test_element_arithmetic_matches_the_braid_move_closure(case):
+    name, u_word, v_word = case
+    system = CLOSURE[name]
+    u, v = system.normal_form(u_word), system.normal_form(v_word)
+    assert u.word == closure_oracle.normal_form(system, u_word)
+    assert (u * v).word == closure_oracle.normal_form(system, u.word + v.word)
+    assert u.inv().word == closure_oracle.normal_form(system, u.word[::-1])
+    assert u.conj(v).word == closure_oracle.normal_form(
+        system, u.word + v.word + u.word[::-1])
+    for side in ("right", "left"):
+        assert u.descents(side) == closure_oracle.descents(system, u.word, side)
+    assert u.reduced_words() == closure_oracle.braid_class(system, u.word)
 
 
 @deterministic

@@ -20,11 +20,13 @@ from paper_claims import (
     dihedral_conjugation_test,
     max_I_reduced,
     reflections_vs_nbar_check,
+    symbol_to_braid,
+    word_to_braid,
 )
 import purebraid
-from purebraid import schreier
 from purebraid.braid import BraidWord, lift
 from purebraid.coxeter import (
+    CoxElem,
     CoxeterError,
     CoxeterSystem,
     coset_rep,
@@ -49,9 +51,7 @@ from purebraid.schreier import (
     semidirect_split,
     soundness_report,
     standard_chain,
-    symbol_to_braid,
     word_str,
-    word_to_braid,
 )
 
 
@@ -100,11 +100,6 @@ def test_minimal_generating_set_counts():
         assert len({_reflection(system, g) for g in gens}) == expected
 
 
-# |T| where `reflections` (the braid-move closure) does not finish: H4 has
-# Coxeter number 30, so 4 * 30 / 2 reflections
-H4_REFLECTIONS = 60
-
-
 @pytest.mark.parametrize("name", ["H3", "H4", "I2(5)", "I2(7)", "B3", "F4", "D4"])
 def test_one_positive_root_per_reflection(name):
     # the positive roots b(a_s) of the UP steps of the walk of W are one
@@ -115,8 +110,17 @@ def test_one_positive_root_per_reflection(name):
     keys = {system._root(table.reps[k].word, s)
             for k in range(len(table.reps)) for s in range(system.rank)
             if table.step(k, s)[0] == UP}
-    assert len(keys) == (H4_REFLECTIONS if name == "H4" else len(reflections(system)))
+    assert len(keys) == len(reflections(system))
     assert len(minimal_generating_set(system, ())) == len(keys)
+
+
+def test_reflections_of_H4_are_the_roots_of_the_generating_set():
+    # H4 has Coxeter number 30, so 4 * 30 / 2 reflections, one per root
+    system = named_system("H4")
+    roots = {system._positive(system._root(r.witness_u.word, r.witness_s))
+             for r in reflections(system)}
+    assert len(roots) == 60
+    assert roots == {system._root(b, s) for _, b, s in minimal_generating_set(system, ())}
 
 
 def test_minimal_generators_realize_nbar_of_bI():
@@ -228,9 +232,9 @@ def test_schreier_kernel_call_budget(name, monkeypatch):
     # the walk and the coset table read every step off a coset vector: no
     # product of elements, whatever is rewritten
     calls = []
-    mult_gen = CoxeterSystem._mult_gen
-    monkeypatch.setattr(CoxeterSystem, "_mult_gen",
-                        lambda self, word, s: calls.append(1) or mult_gen(self, word, s))
+    shortlex = CoxeterSystem._shortlex
+    monkeypatch.setattr(CoxeterSystem, "_shortlex",
+                        lambda self, word: calls.append(1) or shortlex(self, word))
     for I, run in (((), presentation_pure), ((0,), presentation_DI),
                    ((0,), crosscheck_closed_vs_raw), ((0,), semidirect_split)):
         run(named_system(name), *([I] if I else []))
@@ -243,9 +247,9 @@ def test_generators_take_no_step_on_a_truncated_walk(monkeypatch):
     # and presentation_DI drops the instances that leave the walk by the
     # lengths of their bases, without climbing them
     calls = []
-    mult_gen = CoxeterSystem._mult_gen
-    monkeypatch.setattr(CoxeterSystem, "_mult_gen",
-                        lambda self, word, s: calls.append(1) or mult_gen(self, word, s))
+    shortlex = CoxeterSystem._shortlex
+    monkeypatch.setattr(CoxeterSystem, "_shortlex",
+                        lambda self, word: calls.append(1) or shortlex(self, word))
     for I in ((), (0,), (0, 1)):
         system = system_from_json(TRIANGLE_555)
         gens = CosetTable(system, I, 12).generators()
@@ -352,26 +356,26 @@ def test_soundness_rejects_false_pure_commutation():
 
 @pytest.mark.parametrize("name", ["A3", "B3", "H3", "A4", "D4", "I2(5)", "Atilde2"])
 def test_soundness_report_never_runs_the_closure(name, monkeypatch):
-    # each presentation is certified on a fresh system with the braid-move
-    # closure switched off: roots and frames only
+    # each presentation is certified on a fresh system with the element
+    # kernel and braid words switched off: roots and frames only
     presentations = _presentations_of(name)
     if name == "B3":
         presentations.append(presentation_DI(named_system(name), (0, 1)))
 
-    def closure(self, word):
-        raise AssertionError("the braid-move closure was run")
+    def kernel(self, *args):
+        raise AssertionError("an element product or descent set was computed")
 
-    def braid_word(system, sym):
+    def braid_word(self, *args):
         raise AssertionError("a generator was expanded into its braid word")
 
-    monkeypatch.setattr(CoxeterSystem, "braid_class", closure)
-    monkeypatch.setattr(schreier, "symbol_to_braid", braid_word)
+    monkeypatch.setattr(CoxeterSystem, "_shortlex", kernel)
+    monkeypatch.setattr(CoxElem, "descents", kernel)
+    monkeypatch.setattr(BraidWord, "__init__", braid_word)
     for p in presentations:
         system = named_system(name)
         report = soundness_report(Presentation(system, p.I, p.generators,
                                                p.relations, p.partial))
         assert report["passed"] and report["checked"] == len(p.relations) > 0
-        assert system._class_cache == {}
 
 
 @pytest.mark.parametrize("name", ["A3", "B3", "H3", "I2(5)", "D4"])
@@ -574,13 +578,13 @@ def test_devissage_totals_the_reflections(name, reflection_count):
                                   "Atilde2", "triangle 5-5-5"])
 def test_schreier_rewriting_never_runs_the_closure(name, monkeypatch):
     # every step of the rewriting and of the certificates is read off coset
-    # vectors and roots: with the braid-move closure and the product of
+    # vectors and roots: with the products, normal forms and descent sets of
     # elements switched off, each run passes on a fresh system
     def kernel(self, *args):
-        raise AssertionError("an element product or the closure was run")
+        raise AssertionError("an element product or descent set was computed")
 
-    monkeypatch.setattr(CoxeterSystem, "braid_class", kernel)
-    monkeypatch.setattr(CoxeterSystem, "_mult_gen", kernel)
+    monkeypatch.setattr(CoxeterSystem, "_shortlex", kernel)
+    monkeypatch.setattr(CoxElem, "descents", kernel)
     cap = {"Atilde2": 6, "triangle 5-5-5": 12}.get(name)
 
     def fresh():
@@ -600,9 +604,7 @@ def test_schreier_rewriting_never_runs_the_closure(name, monkeypatch):
                  lambda s, i=i: crosscheck_closed_vs_raw(s, (i,), max_length=cap),
                  lambda s, i=i: semidirect_split(s, (i,), max_length=cap)]
     for run in runs:
-        system = fresh()
-        run(system)
-        assert system._class_cache == {}
+        run(fresh())
 
 
 def test_devissage_rejects_bad_chains():
