@@ -23,8 +23,9 @@ The walk of the I-reduced elements W^I (`enumerate_elements`) and the coset
 table of `schreier` step the same vectors, for any I.  The same walk reads the
 positive roots w(a_s), and with them the reflections (`reflections`), off
 the frame of w: the roots w(a_j), which determine w, the representation
-being faithful.  The (N, p) certificate of `schreier` computes with roots
-and frames alone.
+being faithful.  (N, p): B_W -> ZT x| W is folded over roots and frames
+alone, in one place (`CoxeterSystem._fold_Np`), for `nmap` and for the
+certificate of `schreier`.
 
 Finiteness is decided exactly from the Coxeter graph by the classification
 of the finite Coxeter groups (Coxeter 1935; Humphreys, Reflection Groups and
@@ -71,6 +72,11 @@ class _Integers:
     @staticmethod
     def sign(x):
         return (x > 0) - (x < 0)
+
+    @staticmethod
+    def const(x):
+        """x as the factor a of `submul`."""
+        return x
 
 
 # (A[s][t], A[t][s]) for s < t: the integral Cartan split of a bond
@@ -412,8 +418,8 @@ class CoxeterSystem:
     def _frame(self) -> tuple:
         """The frame of the identity: the simple roots a_j, over themselves."""
         ring, _ = self._cartan_rows()
-        return tuple(tuple(ring.one if i == j else ring.zero for i in range(self.rank))
-                     for j in range(self.rank))
+        zero = (ring.zero,) * self.rank
+        return tuple(zero[:j] + (ring.one,) + zero[j + 1:] for j in range(self.rank))
 
     def _frame_step(self, frame: tuple, s: int) -> tuple:
         """The frame (ws)(a_j) of ws from the frame w(a_j) of w: (ws)(a_j) =
@@ -427,12 +433,56 @@ class CoxeterSystem:
             out[j] = tuple(ring.submul(y, a, x) for y, x in zip(frame[j], ws))
         return tuple(out)
 
+    def _frames(self, words: Iterable[tuple]) -> dict:
+        """{word: its frame} over `words` and their prefixes, each frame one
+        step from that of its longest proper prefix."""
+        frames = {(): self._frame()}
+        for word in words:
+            k = len(word)
+            while word[:k] not in frames:
+                k -= 1
+            for j in range(k, len(word)):
+                frames[word[:j + 1]] = self._frame_step(frames[word[:j]], word[j])
+        return frames
+
     def _positive(self, root: tuple) -> tuple:
         """The positive one of the roots +-root: a root has all its
         coordinates of one sign, so the first nonzero one decides."""
         ring, _ = self._cartan_rows()
         x = next(x for x in root if x != ring.zero)
         return root if ring.sign(x) > 0 else tuple(ring.neg(y) for y in root)
+
+    def _reflection(self, root: tuple) -> "CoxElem":
+        """The reflection u s u^-1 of a positive root u(a_s), u read off by
+        lowering the root to a simple one: a positive root that is not simple
+        has a simple reflection t that lowers its coordinate at t and keeps
+        it positive (Björner-Brenti, GTM 231, 4.6)."""
+        ring, _ = self._cartan_rows()
+        unit, u = ring.const(ring.one), []
+        while sum(x != ring.zero for x in root) > 1:
+            u.append(next(t for t in range(self.rank) if ring.sign(
+                ring.submul(root[t], unit, self._act((t,), root)[t])) > 0))
+            root = self._act(u[-1:], root)
+        s = next(j for j, x in enumerate(root) if x != ring.zero)
+        return self.normal_form(tuple(u) + (s,) + tuple(reversed(u)))
+
+    def _fold_Np(self, images: Iterable[tuple]) -> tuple:
+        """(N, p) of a product of images ({positive root: coefficient}, a
+        word of the W-part) in ZT x| W, a reflection being read as its
+        positive root: from (0, 1), (x, w)(y, v) = (x + w.y, w v), w acting
+        on the roots of y through the letters of its word.  Returns
+        ({positive root: nonzero coefficient}, the frame of the W-part):
+        equal for two products iff they are."""
+        x, word, frame = {}, [], self._frame()
+        for roots, v in images:
+            for root, c in roots.items():
+                if word:
+                    root = self._positive(self._act(word, root))
+                x[root] = x.get(root, 0) + c
+            for s in v:
+                frame = self._frame_step(frame, s)
+            word += v
+        return {root: c for root, c in x.items() if c}, frame
 
     # -- element enumeration ---------------------------------------------
 
@@ -482,13 +532,18 @@ class CoxeterSystem:
         <= max_length and b s longer and I-reduced (r_s > 0 on the coset
         vector r of b), the least (b, s) by length of b, then ShortLex; b is
         a CoxElem.  The frame of b (`_frame_step`) is one step from that of
-        its longest proper prefix, one level below."""
+        its longest proper prefix, one level below.  With I empty, the walk
+        stops at the first level that adds no root: the roots of depth d
+        appear at level d - 1, and a simple reflection lowers a root of
+        depth d > 1 to depth d - 1 (`_reflection`), so no later level adds
+        one."""
         if max_length is None and not self.is_finite():
             raise CoxeterError("max_length required for an infinite system")
         ring, _ = self._cartan_rows()
+        I = frozenset(I)
         best, below = {}, {}
-        for level in self._levels(frozenset(I), max_length):
-            frames = {}
+        for level in self._levels(I, max_length):
+            found, frames = len(best), {}
             for r, b in level.items():
                 frames[b] = self._frame_step(below[b[:-1]], b[-1]) if b else self._frame()
                 for s in range(self.rank):
@@ -496,6 +551,8 @@ class CoxeterSystem:
                         root = frames[b][s]
                         if root not in best:
                             best[root] = CoxElem(self, b), s
+            if not I and len(best) == found:
+                break
             below = frames
         return best
 

@@ -28,7 +28,7 @@ from .freeword import (
     word_inv,
     word_mul,
 )
-from .nmap import eval_Np
+from .nmap import equal_mod_derived
 
 
 class EmbeddingInstance:
@@ -224,7 +224,8 @@ def index2_roundtrip_check(n: int, samples: int = 300, seed: int = 0,
 
 def phi_relation_check(n: int) -> dict:
     """phi respects the defining relations of B(B_n): both images agree under
-    eval_Np and as automorphisms in the type-A action model."""
+    (N, p) (`equal_mod_derived`) and as automorphisms in the type-A action
+    model."""
     inst = EmbeddingInstance(n)
     src, tgt = inst.source_system, inst.target_system
     failures = []
@@ -237,7 +238,7 @@ def phi_relation_check(n: int) -> dict:
             bl = BraidWord(tgt, inst.phi_letters(lhs))
             br = BraidWord(tgt, inst.phi_letters(rhs))
             checked += 1
-            if eval_Np(bl) != eval_Np(br):
+            if not equal_mod_derived(bl, br):
                 failures.append({"pair": (i, j), "certificate": "eval_Np"})
             al = composite_aut(inst.target_model,
                                [(tgt.labels[s], e) for s, e in bl.letters])

@@ -3,10 +3,12 @@
 N sends a signed word s1^e1 ... sk^ek to sum_i e_i * (s1...s_{i-1} s_i
 s_{i-1}...s1), and (N, p) is a group homomorphism into ZT x| W.  Its kernel is
 the derived subgroup of the pure braid group, which gives a decidable equality
-of braid words modulo D(P_W).  The mod-2 reduction of N on W is the inversion
-set; admissibility of a reflection subset is decided by inversion-set peeling
-rather than by root-coordinate closure (the two are equivalent, and peeling
-needs no algebraic-number arithmetic).
+of braid words modulo D(P_W).  (N, p) is folded over positive roots and
+frames by `CoxeterSystem._fold_Np`, as in `schreier.soundness_report`, and
+`eval_N` keys its vector by reflections, one per root.  The mod-2 reduction
+of N on W is the inversion set; admissibility of a reflection subset is
+decided by inversion-set peeling rather than by root-coordinate closure (the
+two are equivalent, and peeling needs no algebraic-number arithmetic).
 """
 
 from __future__ import annotations
@@ -120,16 +122,17 @@ class SemidirectElem:
         return f"({self.vector}, {self.element})"
 
 
+def _letter_images(b: BraidWord):
+    """The images ({a_s: e}, s) of the letters s^e of b, for `_fold_Np`."""
+    simple = b.system._frame()
+    return (({simple[s]: e}, (s,)) for s, e in b.letters)
+
+
 def eval_N(b: BraidWord) -> ZTVector:
     """N(b) = sum_i e_i * (s1...s_{i-1} s_i s_{i-1}...s1)."""
     system = b.system
-    coeffs: Dict[CoxElem, int] = {}
-    prefix = system.identity
-    for s, e in b.letters:
-        t = prefix.conj(system.gen(s))
-        coeffs[t] = coeffs.get(t, 0) + e
-        prefix = prefix * system.gen(s)
-    return ZTVector(system, coeffs)
+    roots, _ = system._fold_Np(_letter_images(b))
+    return ZTVector(system, {system._reflection(root): c for root, c in roots.items()})
 
 
 def eval_Np(b: BraidWord) -> SemidirectElem:
@@ -147,7 +150,8 @@ def equal_mod_derived(b: BraidWord, b2: BraidWord) -> bool:
     """N(b) = N(b') and p(b) = p(b'), i.e. b^-1 b' lies in D(P_W)."""
     if b.system != b2.system:
         raise CoxeterError("braid words over different systems")
-    return eval_Np(b) == eval_Np(b2)
+    fold = b.system._fold_Np
+    return fold(_letter_images(b)) == fold(_letter_images(b2))
 
 
 # ---------------------------------------------------------------------------
@@ -207,10 +211,11 @@ def in_image_of_N(x: ZTVector) -> Optional[BraidWord]:
 
 
 def cocycle(v: CoxElem, w: CoxElem) -> ZTVector:
-    """c(v, w) = N(v) + v.N(w) - N(lift of vw); always lies in 2ZT."""
+    """c(v, w) = N(v) + v.N(w) - N(lift of vw) = N(lift(v) lift(w) lift(vw)^-1);
+    always lies in 2ZT."""
     if v.system != w.system:
         raise CoxeterError("elements of different Coxeter systems")
-    value = eval_N(lift(v)) + eval_N(lift(w)).acted_by(v) - eval_N(lift(v * w))
+    value = eval_N(lift(v) * lift(w) * lift(v * w).inv())
     assert value.all_even()
     return value
 

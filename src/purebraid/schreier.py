@@ -455,52 +455,32 @@ def crosscheck_closed_vs_raw(system: CoxeterSystem, I,
 def soundness_report(p: Presentation) -> dict:
     """The (N, p) certificate: both sides of every relation agree in ZT x| W.
 
-    (N, p) is evaluated in the reflection representation, with no product
-    of elements: a reflection w s w^-1 is read as its positive root
-    +-w(a_s), and an element w of W as its frame, the roots w(a_j)
-    (`coxeter`).  Each generator has a closed-form image: s^e is
-    ({a_s: e}, s), and a_{b,s}^e is ({+-b(a_s): 2e}, 1) with a trivial
-    W-part, since N(b s^2 b^-1) = N(b) + b N(s^2) + b N(b^-1) = 2 [b(a_s)]
-    by s^2 = 1 in W and N(b) + b N(b^-1) = N(1) = 0, for any word b.  Each
-    side of a relation is then the product of these images in ZT x| W,
-    folded from (0, 1): its W-part acts on a root through the simple
-    reflections of its word, and two W-parts are equal iff their frames
-    are.  Since (N, p) is a homomorphism, this equals eval_Np of the side
-    expanded into braid letters, without expanding it and without a
-    product of elements.  The roots of the pure generators are kept for this
-    call only.
+    The relator u v^-1 of each relation u = v is folded by
+    `CoxeterSystem._fold_Np` from closed-form images of its letters, and
+    must give (0, 1): s^e is ({a_s: e}, s), and a_{b,s}^e is
+    ({+-b(a_s): 2e}, 1), since N(b s^2 b^-1) = N(b) + b N(s^2) + b N(b^-1) =
+    2 [b(a_s)] by s^2 = 1 in W and N(b) + b N(b^-1) = N(1) = 0.  As (N, p)
+    is a homomorphism, this is the fold of the relator expanded into braid
+    letters, without expanding it.  b(a_s) is column s of the frame of b
+    (`CoxeterSystem._frames`).
 
     The kernel of (N, p) is the derived subgroup D(P_W), so a pass shows
     that each relation holds in B_W / D(P_W), not that it holds in B_W; the
     result says so under "certificate".
     """
     system = p.system
-    identity = system._frame()
-    roots = {}  # a_{b,s} -> the positive root +-b(a_s)
+    frames = system._frames(sym[1] for sym in p.pure_generators())
+    roots = {sym: system._positive(frames[sym[1]][sym[2]]) for sym in p.pure_generators()}
 
-    def image(sym: Symbol, e: int) -> tuple:
-        # ({positive root: coefficient}, a word of the W-part)
+    def image(letter: Tuple[Symbol, int]) -> tuple:
+        sym, e = letter
         if sym[0] == "s":
-            return {identity[sym[1]]: e}, (sym[1],)
-        if sym not in roots:
-            roots[sym] = system._positive(system._root(sym[1], sym[2]))
+            return {frames[()][sym[1]]: e}, (sym[1],)
         return {roots[sym]: 2 * e}, ()
 
-    def fold(side: Word) -> tuple:
-        x, word, frame = {}, (), identity
-        for sym, e in side:
-            y, v = image(sym, e)
-            for root, c in y.items():
-                if word:
-                    root = system._positive(system._act(word, root))
-                x[root] = x.get(root, 0) + c
-            for s in v:
-                frame = system._frame_step(frame, s)
-            word += v
-        return {root: c for root, c in x.items() if c}, frame
-
-    failures = [(word_str(system, u), word_str(system, v))
-                for u, v in p.relations if fold(u) != fold(v)]
+    unit = {}, frames[()]
+    failures = [(word_str(system, u), word_str(system, v)) for u, v in p.relations
+                if system._fold_Np(map(image, u + word_inv(v))) != unit]
     return {"checked": len(p.relations), "failures": failures,
             "passed": not failures, "certificate": "mod D(P_W)"}
 

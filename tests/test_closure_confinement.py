@@ -6,6 +6,10 @@ ShortLex normal form, is called only by `normal_form` and the `CoxElem`
 methods that multiply, invert and conjugate, and `reduced_words` is called
 only where reduced words are what is asked for.  A swap of the element
 kernel then stays inside `CoxeterSystem`/`CoxElem`.
+
+Frames are stepped in `coxeter` alone: by the one (N, p) fold
+`CoxeterSystem._fold_Np`, by the root walk and by the frames of a set of
+words, so that no second (N, p) evaluator grows in `nmap` or `schreier`.
 """
 
 import ast
@@ -22,6 +26,11 @@ SHORTLEX_SCOPES = {
     "coxeter.CoxElem.conj",
 }
 REDUCED_WORDS_SCOPES = set()
+FRAME_STEP_SCOPES = {
+    "coxeter.CoxeterSystem._fold_Np",
+    "coxeter.CoxeterSystem._root_walk",
+    "coxeter.CoxeterSystem._frames",
+}
 
 
 def _name_of(node):
@@ -73,6 +82,10 @@ def test_shortlex_is_reached_only_by_the_element_arithmetic():
 
 def test_reduced_words_is_called_only_where_words_are_asked_for():
     assert _package_scopes({"reduced_words"}, calls_only=True) == REDUCED_WORDS_SCOPES
+
+
+def test_frames_are_stepped_only_in_coxeter():
+    assert _package_scopes({"_frame_step"}, calls_only=True) == FRAME_STEP_SCOPES
 
 
 def test_detects_uses_outside_the_allowed_scopes():

@@ -374,6 +374,30 @@ def test_reflections_are_the_filter_of_W(name):
         == _with_witnesses(_reflections_by_filter(system))
 
 
+def _root_walk_every_level(system):
+    """`CoxeterSystem._root_walk((), None)` without its early stop: every
+    level of W walked, each frame stepped from its prefix's."""
+    ring, _ = system._cartan_rows()
+    levels = list(system._levels(frozenset(), None))
+    frames = system._frames(b for level in levels for b in level.values())
+    best = {}
+    for level in levels:
+        for r, b in level.items():
+            for s in range(system.rank):
+                if ring.sign(r[s]) > 0:
+                    best.setdefault(frames[b][s], (CoxElem(system, b), s))
+    return best
+
+
+@pytest.mark.parametrize("name", ["H4", "E6"])
+def test_root_walk_stops_early_with_the_same_roots(name):
+    # the reflection digests do not pin H4 and E6
+    system = named_system(name)
+    walk = system._root_walk((), None)
+    assert list(walk.items()) == list(_root_walk_every_level(system).items())
+    assert len(walk) == {"H4": 60, "E6": 36}[name]
+
+
 def test_reflections_of_affine_A2_at_every_max_length():
     system = named_system("Atilde2")
     assert reflections(system, max_length=0) == []
