@@ -131,10 +131,9 @@ class EmbeddingInstance:
 # reports
 
 
-def equivariance_check(n: int, samples: int = 200, seed: int = 0,
-                       max_braid_len: int = 6, max_word_len: int = 6) -> dict:
+def equivariance_check(n: int, samples: int = 200, seed: int = 0) -> dict:
     """psi(g.u) = phi(g).psi(u), exhaustive on (generator, basis symbol) and
-    on `samples` random pairs."""
+    on `samples` random pairs of up to 6 letters each."""
     inst = EmbeddingInstance(n)
     src, tgt = inst.source_model, inst.target_model
     failures = []
@@ -162,10 +161,10 @@ def equivariance_check(n: int, samples: int = 200, seed: int = 0,
     rng = random.Random(seed)
     for _ in range(samples):
         letters = [(src.acting[rng.randrange(len(src.acting))], rng.choice((1, -1)))
-                   for _ in range(rng.randrange(1, max_braid_len + 1))]
+                   for _ in range(rng.randrange(1, 7))]
         u = free_reduce([(src.basis[rng.randrange(len(src.basis))],
                           rng.choice((1, -1)))
-                         for _ in range(rng.randrange(1, max_word_len + 1))])
+                         for _ in range(rng.randrange(1, 7))])
         lhs, rhs = both_sides(letters, u)
         checked += 1
         if lhs != rhs:
@@ -173,8 +172,7 @@ def equivariance_check(n: int, samples: int = 200, seed: int = 0,
     return {"checked": checked, "failures": failures, "passed": not failures}
 
 
-def index2_roundtrip_check(n: int, samples: int = 300, seed: int = 0,
-                           max_word_len: int = 10) -> dict:
+def index2_roundtrip_check(n: int, samples: int = 300, seed: int = 0) -> dict:
     """Parity is multiplicative; random even words round-trip through
     membership_psi_image; odd words are rejected."""
     inst = EmbeddingInstance(n)
@@ -188,9 +186,9 @@ def index2_roundtrip_check(n: int, samples: int = 300, seed: int = 0,
     while even_roundtrips < samples and tried < 50 * samples:
         tried += 1
         w = free_reduce([(basis[rng.randrange(len(basis))], rng.choice((1, -1)))
-                         for _ in range(rng.randrange(0, max_word_len + 1))])
+                         for _ in range(rng.randrange(0, 11))])
         v = free_reduce([(basis[rng.randrange(len(basis))], rng.choice((1, -1)))
-                         for _ in range(rng.randrange(0, max_word_len + 1))])
+                         for _ in range(rng.randrange(0, 11))])
         # parity is a homomorphism
         pw, pv = inst.parity(w), inst.parity(v)
         pwv = inst.parity(word_mul(w, v))

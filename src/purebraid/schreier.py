@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import heapq
 import json
+from math import gcd
 from typing import List, Optional, Sequence, Tuple
 
 from .coxeter import (
@@ -493,11 +494,12 @@ def abelianization(p: Presentation) -> dict:
     """Free rank and torsion of the abelianized group, from the Smith normal
     form of the relation matrix (one row per relation, u - v).
 
-    The rows are kept sparse.  Entries +-1 are taken as pivots one at a time,
-    least Markowitz cost (row nonzeros - 1) * (column nonzeros - 1) first:
-    clearing the pivot's column by row operations and dropping its row and
-    column splits off one invariant factor 1.  The rows left without a unit
-    entry get a dense Euclidean Smith normal form.  Integers are exact.
+    One sparse integer elimination (Havas-Holt-Rees) on exact integers.  The
+    pivot is an entry of least absolute value, then of least Markowitz cost
+    (row nonzeros - 1) * (column nonzeros - 1); +-1 entries come from a lazy
+    heap.  Row operations reduce its column, then column operations its row,
+    modulo the pivot; a pivot left alone is a diagonal entry.  The entries
+    other than 1 become a divisibility chain by gcd and lcm of each pair.
     """
     index = {g: k for k, g in enumerate(p.generators)}
     rows = []
@@ -525,93 +527,70 @@ def _invariant_factors(rows: List[dict]) -> List[int]:
     def cost(r, c):
         return (len(rows[r]) - 1) * (len(cols[c]) - 1)
 
-    def unit_entries(r):
-        return [(cost(r, c), r, c) for c, x in rows[r].items() if x in (1, -1)]
+    def push_units(r):
+        for c, x in rows[r].items():
+            if x in (1, -1):
+                heapq.heappush(heap, (cost(r, c), r, c))
 
-    heap = [entry for r in rows for entry in unit_entries(r)]
-    heapq.heapify(heap)
-    units = 0
-    while heap:
-        stale_cost, r, c = heapq.heappop(heap)
-        pivot_row = rows.get(r)
-        if pivot_row is None or pivot_row.get(c) not in (1, -1):
-            continue
-        # a popped cost is a lower bound unless the entry's row or column
-        # grew since it was pushed; then it goes back with its current cost
-        if cost(r, c) > stale_cost:
-            heapq.heappush(heap, (cost(r, c), r, c))
-            continue
-        v = pivot_row[c]
-        for i in cols.pop(c) - {r}:
+    def choose_pivot():
+        while heap:
+            stale_cost, r, c = heapq.heappop(heap)
+            if r not in rows or rows[r].get(c) not in (1, -1):
+                continue
+            # a popped cost is a lower bound unless the entry's row or column
+            # grew since it was pushed; then it goes back with its current cost
+            if cost(r, c) > stale_cost:
+                heapq.heappush(heap, (cost(r, c), r, c))
+                continue
+            return r, c
+        # no unit entry left: least absolute value, then least cost
+        least = min(min(map(abs, row.values())) for row in rows.values())
+        return min((cost(r, c), r, c) for r, row in rows.items()
+                   for c, x in row.items() if abs(x) == least)[1:]
+
+    heap = []
+    for r in rows:
+        push_units(r)
+    diagonal = []
+    while rows:
+        r, c = choose_pivot()
+        pivot_row = rows[r]
+        p = pivot_row[c]
+        for i in cols[c] - {r}:
             row = rows[i]
-            f = row[c] * v
+            q = row[c] // p
             for j, x in pivot_row.items():
-                y = row.get(j, 0) - f * x
+                y = row.get(j, 0) - q * x
                 if y:
                     if j not in row:
                         cols[j].add(i)
                     row[j] = y
                 else:
                     del row[j]
-                    if j != c:
-                        cols[j].discard(i)
+                    cols[j].discard(i)
             if row:
-                for entry in unit_entries(i):
-                    heapq.heappush(heap, entry)
+                push_units(i)
             else:
                 del rows[i]
-        for j in pivot_row:
-            if j != c:
+        if len(cols[c]) > 1:
+            continue
+        # column c is now p alone, so column operations change row r only
+        for j in [j for j in pivot_row if j != c]:
+            pivot_row[j] %= p
+            if not pivot_row[j]:
+                del pivot_row[j]
                 cols[j].discard(r)
-        del rows[r]
-        units += 1
-    used = sorted({c for row in rows.values() for c in row})
-    dense = [[row.get(c, 0) for c in used] for row in rows.values()]
-    return [1] * units + _dense_invariant_factors(dense)
-
-
-def _dense_invariant_factors(a: List[List[int]]) -> List[int]:
-    """Nonzero invariant factors of a dense integer matrix: Euclidean row and
-    column reduction, with a row added whenever the pivot fails to divide an
-    entry, so that each factor divides the next."""
-    def to_corner(i, j):
-        a[0], a[i] = a[i], a[0]
-        for row in a:
-            row[0], row[j] = row[j], row[0]
-
-    out = []
-    while True:
-        a = [row for row in a if any(row)]
-        nonzero = [(abs(x), i, j) for i, row in enumerate(a)
-                   for j, x in enumerate(row) if x]
-        if not nonzero:
-            return out
-        to_corner(*min(nonzero)[1:])
-        while True:
-            p = a[0][0]
-            for row in a[1:]:
-                q = row[0] // p
-                if q:
-                    for k, x in enumerate(a[0]):
-                        row[k] -= q * x
-            for k in range(1, len(a[0])):
-                q = a[0][k] // p
-                if q:
-                    for row in a:
-                        row[k] -= q * row[0]
-            rest = [(abs(x), i, 0) for i, row in enumerate(a) if i and (x := row[0])]
-            rest += [(abs(x), 0, k) for k, x in enumerate(a[0]) if k and x]
-            if rest:
-                # a remainder smaller than the pivot: it becomes the pivot
-                to_corner(*min(rest)[1:])
-                continue
-            bad = next((i for i, row in enumerate(a)
-                        if i and any(x % p for x in row)), None)
-            if bad is None:
-                break
-            a[0] = [x + y for x, y in zip(a[0], a[bad])]
-        out.append(abs(a[0][0]))
-        a = [row[1:] for row in a[1:]]
+        if len(pivot_row) > 1:
+            push_units(r)
+        else:
+            del rows[r], cols[c]
+            diagonal.append(abs(p))
+    chain = [d for d in diagonal if d != 1]
+    for i in range(len(chain)):
+        for j in range(i + 1, len(chain)):
+            g = gcd(chain[i], chain[j])
+            chain[i], chain[j] = g, chain[i] * chain[j] // g
+    return [1] * (len(diagonal) - len(chain)) + chain
 
 
 # ---------------------------------------------------------------------------

@@ -74,11 +74,13 @@ def test_kernel_does_not_import_its_oracles():
 
 @pytest.mark.parametrize("importer,imported", [("schreier", "nmap"),
                                                ("free_actions", "schreier"),
-                                               ("schreier", "braid")])
+                                               ("schreier", "braid"),
+                                               ("free_actions", "nmap.eval_N")])
 def test_layering(importer, imported):
     # the presentations need no (N, p) of elements and no braid words, and
     # the action tables no Schreier rewriting: what linked them was
-    # test-only code
+    # test-only code; the action tables ask only whether a pure word lies in
+    # D(P_W), which the fold decides without the reflections of eval_N
     source = (SRC / f"{importer}.py").read_text(encoding="utf-8")
     assert imports_between(source, imported) == set()
 

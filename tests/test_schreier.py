@@ -520,16 +520,23 @@ def test_abelianization_matches_sympy_on_presentations(name):
 def test_abelianization_matches_sympy_on_random_matrices():
     pytest.importorskip("sympy")
     rng = random.Random(7)
-    with_torsion = 0
-    for _ in range(300):
-        nrows, ncols = rng.randint(1, 5), rng.randint(1, 5)
-        matrix = [[rng.choice((0, 0, 1, -1, 2, -2, 3, 4, -6, 9))
-                   for _ in range(ncols)] for _ in range(nrows)]
-        p = _matrix_presentation(matrix, ncols)
-        expected = _sympy_abelianization(p)
-        assert abelianization(p) == expected
-        with_torsion += bool(expected["torsion"])
-    assert with_torsion >= 30
+    # small matrices; then up to 8 x 8 with no +-1 entry, so that Euclidean
+    # rounds come before any split; then a few +-1 entries among larger
+    # ones, so that unit pivots leave remainders without a unit
+    batches = [(300, 5, (0, 0, 1, -1, 2, -2, 3, 4, -6, 9), 30),
+               (100, 8, (0, 0, 0, 2, -2, 3, -4, 6, 9, -10, 15, 25, -36), 30),
+               (100, 8, (0, 0, 0, 0, 1, -1, 2, -3, 4, 6, -9, 10, -15), 20)]
+    for count, size, entries, least_with_torsion in batches:
+        with_torsion = 0
+        for _ in range(count):
+            nrows, ncols = rng.randint(1, size), rng.randint(1, size)
+            matrix = [[rng.choice(entries) for _ in range(ncols)]
+                      for _ in range(nrows)]
+            p = _matrix_presentation(matrix, ncols)
+            expected = _sympy_abelianization(p)
+            assert abelianization(p) == expected
+            with_torsion += bool(expected["torsion"])
+        assert with_torsion >= least_with_torsion
 
 
 def test_abelianization_and_cli_run_without_sympy():
