@@ -8,6 +8,7 @@ usage errors.  Randomized checks take an explicit --seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -285,7 +286,10 @@ def cmd_oracle_check(args) -> int:
 # parser
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: `parse_args` makes a fresh
+    namespace on each call, so nothing carries over between calls."""
     parser = argparse.ArgumentParser(
         prog="purebraid",
         description="Coxeter/braid computations: the N-map, subgroup "

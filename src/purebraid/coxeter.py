@@ -19,13 +19,14 @@ and descent sets all step this vector: the ShortLex word of w peels the least
 left descent off the vector of w^-1 (`CoxeterSystem._shortlex`), with one
 vector step per letter read and per letter peeled.  This holds for every
 Coxeter system, infinite bonds and non-crystallographic types included.
-The walk of the I-reduced elements W^I (`enumerate_elements`) and the coset
-table of `schreier` step the same vectors, for any I.  The same walk reads the
-positive roots w(a_s), and with them the reflections (`reflections`), off
-the frame of w: the roots w(a_j), which determine w, the representation
-being faithful.  (N, p): B_W -> ZT x| W is folded over roots and frames
-alone, in one place (`CoxeterSystem._fold_Np`), for `nmap` and for the
-certificate of `schreier`.
+The walk of the I-reduced elements W^I (`enumerate_elements`) is also the
+coset table of `schreier`, for any I: asked to, it records each step it
+takes (`_levels`).  The same walk reads the positive roots w(a_s), and with
+them the reflections (`reflections`), off the frame of w: the roots w(a_j),
+which determine w, the representation being faithful.  (N, p): B_W -> ZT x|
+W is folded over roots and frames alone, in one place
+(`CoxeterSystem._fold_Np`), for `nmap` and for the certificate of
+`schreier`.
 
 Finiteness is decided exactly from the Coxeter graph by the classification
 of the finite Coxeter groups (Coxeter 1935; Humphreys, Reflection Groups and
@@ -48,7 +49,7 @@ class CoxeterError(ValueError):
 
 def _alt(s: int, t: int, length: int) -> tuple:
     """Alternating word s t s t ... with `length` letters, starting with s."""
-    return tuple(s if i % 2 == 0 else t for i in range(length))
+    return ((s, t) * (length // 2 + 1))[:length]
 
 
 # ---------------------------------------------------------------------------
@@ -510,22 +511,43 @@ class CoxeterSystem:
         words = chain.from_iterable(level.values() for level in levels)
         return (CoxElem(self, w) for w in islice(words, max_elements))
 
-    def _levels(self, I: frozenset, max_length: Optional[int]) -> Iterator[dict]:
+    def _levels(self, I: frozenset, max_length: Optional[int],
+                moves: Optional[list] = None) -> Iterator[dict]:
         """The walk of `enumerate_elements`, one length at a time up to
-        max_length: {coset vector: ShortLex word}, in ShortLex order."""
+        max_length: {coset vector: ShortLex word}, in ShortLex order.
+
+        Given a list `moves`, the walk records in it each step it takes, and
+        steps the level at max_length too: for the element r of index k in
+        the walk (the coset W_I itself has index 0) and s, moves[rank k + s]
+        is (sign of r_s, j) with r s the element of index j, None past
+        max_length; j is k when r_s = 0."""
         level, length = {self._coset_vector(I): ()}, 0
+        # the index of level's first element; {coset vector: index} on level
+        # and on the level below
+        start, ids, below = 0, {self._coset_vector(I): 0}, {}
         while level and (max_length is None or length <= max_length):
             yield level
-            if length == max_length:
+            last = length == max_length
+            if last and moves is None:
                 return
             length += 1
-            up = {}
-            for r, word in level.items():
+            up, words = {}, []  # {r s: its index}, the words of the next level
+            top = start + len(level)
+            for k, (r, word) in enumerate(level.items(), start):
                 for s in range(self.rank):
                     sign, rs = self._coset_step(r, s)
                     if sign > 0:
-                        up.setdefault(rs, word + (s,))
-            level = up
+                        if last:
+                            j = None
+                        else:
+                            j = up.setdefault(rs, top + len(words))
+                            if j == top + len(words):
+                                words.append(word + (s,))
+                    elif moves is not None:
+                        j = below[rs] if sign else k
+                    if moves is not None:
+                        moves.append((sign, j))
+            start, below, ids, level = top, ids, up, dict(zip(up, words))
 
     def _root_walk(self, I: Iterable[int], max_length: Optional[int]) -> dict:
         """{b(a_s): (b, s)}: per positive root b(a_s) with b in W^I of length

@@ -11,15 +11,18 @@ these rewritings directly.  `presentation_DI` keeps the closed form of each
 instance, and `crosscheck_closed_vs_raw` compares it with the raw rewriting
 at the instance's representative.
 
-The transversal is one walk of the I-reduced elements, and every step of the
-rewriting is read off coset vectors: the module makes no product of elements
-(`Presentation.from_json` alone puts the bases it reads in normal form).  On
-a truncated walk, an instance is kept only when the lengths of its
+The transversal is one walk of the I-reduced elements, which records each
+transition rep.s as it takes the coset step: the module makes no product of
+elements (`Presentation.from_json` alone puts the bases it reads in normal
+form).  On a truncated walk, an instance is kept only when the lengths of its
 representative and of its bases fit the cap.
 
 Words over the presentation generators are tuples of (symbol, +-1) where a
 symbol is ("s", i) for a Coxeter-lift generator or ("a", base_word, i) for a
-pure generator a_{b,s}.  A pure generator is its symbol.
+pure generator a_{b,s}.  A pure generator is its symbol.  The rewriting, the
+closed forms, their deduplication and their order run on integer letter
+codes over the table (`CosetTable`), whose order is the order of the
+symbols; `presentation_DI` spells each distinct letter as a symbol once.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ from .freeword import free_reduce, word_inv
 
 Symbol = tuple
 Word = Tuple[Tuple[Symbol, int], ...]
+Codes = Tuple[int, ...]  # a word of letter codes over a `CosetTable`
 
 
 # ---------------------------------------------------------------------------
@@ -71,19 +75,25 @@ def word_key(word: Word):
     return (len(word), tuple((symbol_key(s), 0 if e == 1 else 1) for s, e in word))
 
 
+class _Spelling(dict):
+    """{symbol: symbol_str}, each symbol spelled once, on first use."""
+
+    def __init__(self, system: CoxeterSystem):
+        super().__init__()
+        self.system = system
+
+    def __missing__(self, sym: Symbol) -> str:
+        self[sym] = name = symbol_str(self.system, sym)
+        return name
+
+    def word(self, word: Word) -> str:
+        if not word:
+            return "1"
+        return " ".join(self[s] if e == 1 else self[s] + "^-1" for s, e in word)
+
+
 def word_str(system: CoxeterSystem, word: Word) -> str:
-    if not word:
-        return "1"
-    return " ".join(symbol_str(system, s) + ("" if e == 1 else "^-1")
-                    for s, e in word)
-
-
-def normalize_relation(u: Word, v: Word) -> Optional[Tuple[Word, Word]]:
-    """Freely reduce, drop tautologies, put the ShortLex-smaller side first."""
-    u, v = free_reduce(u), free_reduce(v)
-    if u == v:
-        return None
-    return (u, v) if word_key(u) <= word_key(v) else (v, u)
+    return _Spelling(system).word(word)
 
 
 def canonical_relator(u: Word, v: Word) -> Word:
@@ -109,7 +119,7 @@ def canonical_relator(u: Word, v: Word) -> Word:
 # the rewriting process
 
 
-UP, DOWN, CONJ = "up", "down", "conj"
+UP, DOWN, CONJ = 1, -1, 0  # the sign of entry s of the coset vector of rep k
 
 
 class CosetTable:
@@ -117,42 +127,46 @@ class CosetTable:
     representatives of a walk.
 
     The walk `enumerate_elements(max_length, I=I)` is the table: its
-    representatives get the ids 0, 1, ... in their order, with the coset
-    vectors the walk reached them by, and no other representative is ever
-    made.  An infinite W needs max_length.  The transition of rep k by s is
+    representatives get the ids 0, 1, ... in their order, and no other
+    representative is ever made.  An infinite W needs max_length.  The
+    transition of rep k by s is
       (UP, j)    when rep_k s is longer and I-reduced, rep_j = rep_k s;
       (DOWN, j)  when s is a right descent of rep_k, rep_j = rep_k s;
       (CONJ, t)  when rep_k s is longer but not I-reduced: rep_k s = t rep_k
                  with t the single left descent of rep_k s in I (Deodhar).
-    A transition is read off the coset vector of rep k (`coxeter`) the first
-    time it is asked for, with no product of elements.  An UP step past a
-    truncated walk keeps its kind and has j None: `climb` and `rewrite`
-    raise CoxeterError there.
+    The walk records each transition, at index rank k + s of `transitions`,
+    as it takes the coset step (`CoxeterSystem._levels`): one step per
+    (rep, s) and no product of elements.  A CONJ transition gets its t from
+    the root rep_k(a_s) = a_t.  An UP step past a truncated walk keeps its
+    kind and has j None: `climb` and `rewrite` raise CoxeterError there.
+
+    The rewriting runs on integer letter codes.  The Coxeter lift t has id
+    t, and the pure generator a_{b,s} with b = rep_k has id rank + rank k +
+    s, rank plus the index of its transition; the letter x^e has code
+    2 id(x) + (e == -1).  The walk is in ShortLex order, so the ids are in
+    symbol_key order and the codes in (symbol_key, e) order: a word w of
+    codes has word_key order (len(w), w), and code ^ 1 is the inverse letter.
     """
 
     def __init__(self, system: CoxeterSystem, I, max_length: Optional[int] = None):
         if max_length is None and not system.is_finite():
             raise CoxeterError("max_length required for an infinite system")
         self.system = system
+        self.rank = system.rank
         self.I = frozenset(I)
-        self.reps, self.vectors = [], []
-        for level in system._levels(self.I, max_length):
-            self.vectors.extend(level.keys())
-            self.reps.extend(CoxElem(system, w) for w in level.values())
-        self.ids = {r: k for k, r in enumerate(self.vectors)}
-        self.moves = {}
-        self.simple_roots = {system._root((), t): t for t in self.I}
+        self.transitions = []
+        self.reps = [CoxElem(system, w) for level in
+                     system._levels(self.I, max_length, self.transitions)
+                     for w in level.values()]
+        if self.I:
+            simple_roots = {system._root((), t): t for t in self.I}
+            for n, (kind, _) in enumerate(self.transitions):
+                if kind == CONJ:
+                    k, s = divmod(n, self.rank)
+                    self.transitions[n] = CONJ, simple_roots[system._root(self.reps[k].word, s)]
 
-    def step(self, k: int, s: int) -> Tuple[str, Optional[int]]:
-        if (k, s) not in self.moves:
-            self.moves[k, s] = self._fill(k, s)
-        return self.moves[k, s]
-
-    def _fill(self, k: int, s: int) -> Tuple[str, Optional[int]]:
-        sign, r = self.system._coset_step(self.vectors[k], s)
-        if not sign:
-            return CONJ, self.simple_roots[self.system._root(self.reps[k].word, s)]
-        return (UP if sign > 0 else DOWN), self.ids.get(r)
+    def step(self, k: int, s: int) -> Tuple[int, Optional[int]]:
+        return self.transitions[k * self.rank + s]
 
     def _past_walk(self, k: int, s: int) -> CoxeterError:
         return CoxeterError(f"{self.reps[k]} times {self.system.labels[s]} "
@@ -161,8 +175,9 @@ class CosetTable:
     def climb(self, k: int, word: Sequence[int]) -> int:
         """The id of rep_k * word, raising CoxeterError unless every letter
         is an UP step inside the walk."""
+        rank, transitions = self.rank, self.transitions
         for s in word:
-            kind, j = self.step(k, s)
+            kind, j = transitions[k * rank + s]
             if kind != UP:
                 raise CoxeterError(
                     f"{self.reps[k]} times {self.system.labels[s]} is not "
@@ -172,33 +187,46 @@ class CosetTable:
             k = j
         return k
 
+    def _rewrite_codes(self, k: int, letters) -> Tuple[List[int], int]:
+        """`rewrite`, emitting letter codes."""
+        rank, transitions, out = self.rank, self.transitions, []
+        for s, e in letters:
+            kind, j = transitions[k * rank + s]
+            if kind == CONJ:
+                out.append(2 * j + (e == -1))
+                continue
+            if j is None:
+                raise self._past_walk(k, s)
+            if (kind == DOWN) == (e == 1):
+                out.append(2 * (rank + rank * (j if kind == DOWN else k) + s) + (e == -1))
+            k = j
+        return out, k
+
     def rewrite(self, k: int, letters) -> Tuple[List[Tuple[Symbol, int]], int]:
         """Schreier rewriting of the signed letters read from rep k: the
         emitted word over the generators of D_I and the id reached.  A CONJ
         letter emits t; an UP step read backwards, or a DOWN step read
         forwards, emits a_{b,s} with b the shorter of its two ends.  Raises
         CoxeterError when a letter leaves the walk."""
-        out = []
-        for s, e in letters:
-            kind, j = self.step(k, s)
-            if kind == CONJ:
-                out.append((cox_symbol(j), e))
-                continue
-            if j is None:
-                raise self._past_walk(k, s)
-            if (kind == DOWN) == (e == 1):
-                out.append((pure_symbol(self.reps[j if kind == DOWN else k], s), e))
-            k = j
-        return out, k
+        codes, k = self._rewrite_codes(k, letters)
+        return [self.letter(c) for c in codes], k
+
+    def symbol(self, x: int) -> Symbol:
+        """The generator of id x."""
+        if x < self.rank:
+            return cox_symbol(x)
+        k, s = divmod(x - self.rank, self.rank)
+        return pure_symbol(self.reps[k], s)
+
+    def letter(self, code: int) -> Tuple[Symbol, int]:
+        """The (symbol, +-1) of a letter code."""
+        return self.symbol(code >> 1), -1 if code & 1 else 1
 
     def generators(self) -> List[Symbol]:
-        """The a_{b,s} with b walked and b s an UP step, by symbol_key: read
-        off the sign of entry s of the coset vector of b, so that b s need
-        not be in the walk."""
-        ring, _ = self.system._cartan_rows()
-        return sorted((pure_symbol(b, s) for b, r in zip(self.reps, self.vectors)
-                       for s in range(self.system.rank) if ring.sign(r[s]) > 0),
-                      key=symbol_key)
+        """The a_{b,s} with b walked and b s an UP step, in id order, which
+        is symbol_key order; b s need not be in the walk."""
+        return [self.symbol(self.rank + n)
+                for n, (kind, _) in enumerate(self.transitions) if kind == UP]
 
 
 # ---------------------------------------------------------------------------
@@ -220,27 +248,53 @@ def minimal_generating_set(system: CoxeterSystem, I,
 # closed-form relations (families of Prop. "presentation de D_I")
 
 
-def _a_super(table: CosetTable, b0: int, s: int, t: int, j: int) -> Symbol:
-    """a^{(j)}_{b0,s,t} = a_{b0 . (s t s ...)_j, r}, r = s for even j, t for odd;
-    base . r is an UP step, which may leave the walk."""
-    base = table.climb(b0, _alt(s, t, j))
-    r = s if j % 2 == 0 else t
-    if table.step(base, r)[0] != UP:
-        raise CoxeterError(f"{table.reps[base]} times {table.system.labels[r]} "
-                           "is not an UP step")
-    return pure_symbol(table.reps[base], r)
+def _free_reduce_codes(word: Sequence[int]) -> Codes:
+    out = []
+    for c in word:
+        if out and out[-1] == c ^ 1:
+            out.pop()
+        else:
+            out.append(c)
+    return tuple(out)
+
+
+def _ordered(u: Codes, v: Codes) -> Optional[Tuple[Codes, Codes]]:
+    """The relation u = v of two freely reduced words, with the ShortLex-
+    smaller side first; None when u and v are equal."""
+    if u == v:
+        return None
+    return (u, v) if (len(u), u) <= (len(v), v) else (v, u)
+
+
+def _a_super(table: CosetTable, b0: int, s: int, t: int, n: int) -> Codes:
+    """The word a^{(n-1)} ... a^{(1)} a^{(0)} in letter codes, with
+    a^{(j)} = a^{(j)}_{b0,s,t} = a_{b0 . (s t s ...)_j, r}, r = s for even j
+    and t for odd: the steps of the climb of (s t s ...)_n from b0, each an
+    UP step, read backwards.  The last step climbed may leave the walk."""
+    rank, transitions, codes, k = table.rank, table.transitions, [], b0
+    for j in range(n):
+        if k is None:  # the step x before left the walk
+            raise table._past_walk(*divmod(x, rank))
+        x = k * rank + (t if j & 1 else s)
+        kind, k = transitions[x]
+        if kind != UP:
+            raise CoxeterError(f"{table.reps[x // rank]} times "
+                               f"{table.system.labels[x % rank]} is not an UP step")
+        codes.append(2 * (rank + x))
+    return tuple(reversed(codes))
 
 
 def relation_for(table: CosetTable, b0: int, s: int, t: int,
-                 i: int) -> Optional[Tuple[Word, Word]]:
+                 i: int) -> Optional[Tuple[Codes, Codes]]:
     """Closed form of the rewriting of b0 (sts..)_m = b0 (tst..)_m at level i,
-    for the representative b0 of `table`.
+    for the representative b0 of `table`, over the letter codes of `table`.
 
     i = 0 is the degenerate case: trivial unless both b0 s and b0 t fail to be
     I-reduced, in which case it is the braid relation between the conjugating
     generators s', t' in I.  For i >= 1 the relation belongs to family (1)
     (b0 t I-reduced, i = 1..m, at the representative b0 (tst..)_i) or family
     (2) (b0 t = s' b0, i = 1..m-1, at the representative b0 (sts..)_i).
+    Both sides are positive words, so freely reduced.
     """
     m = table.system.m(s, t)
     if m is None:
@@ -251,40 +305,32 @@ def relation_for(table: CosetTable, b0: int, s: int, t: int,
     if i == 0:
         if UP in (s_kind, t_kind):
             return None
-        lhs = tuple((cox_symbol(x), 1) for x in _alt(sp, tp, m))
-        rhs = tuple((cox_symbol(x), 1) for x in _alt(tp, sp, m))
-        return normalize_relation(lhs, rhs)
+        return _ordered(tuple(2 * x for x in _alt(sp, tp, m)),
+                        tuple(2 * x for x in _alt(tp, sp, m)))
     if s_kind != UP:
         raise CoxeterError("b0 s must be I-reduced when i >= 1")
     if t_kind == UP:
         if not 1 <= i <= m:
             raise CoxeterError(f"family (1) needs 1 <= i <= m, got {i}")
-        lhs = tuple((_a_super(table, b0, s, t, j), 1)
-                    for j in range(m - 1, m - i - 1, -1))
-        rhs = tuple((_a_super(table, b0, t, s, j), 1)
-                    for j in range(i - 1, -1, -1))
-        return normalize_relation(lhs, rhs)
+        return _ordered(_a_super(table, b0, s, t, m)[:i], _a_super(table, b0, t, s, i))
     if not 1 <= i <= m - 1:
         raise CoxeterError(f"family (2) needs 1 <= i <= m-1, got {i}")
-    lhs = ((cox_symbol(tp), 1),) + tuple((_a_super(table, b0, s, t, j), 1)
-                                         for j in range(m - 2, m - i - 2, -1))
-    rhs = tuple((_a_super(table, b0, s, t, j), 1)
-                for j in range(i - 1, -1, -1)) + ((cox_symbol(tp), 1),)
-    return normalize_relation(lhs, rhs)
+    a = _a_super(table, b0, s, t, m - 1)
+    return _ordered((2 * tp,) + a[:i], a[m - 1 - i:] + (2 * tp,))
 
 
 def rewrite_braid_relation(table: CosetTable, rep: int, s: int,
-                           t: int) -> Optional[Tuple[Word, Word]]:
+                           t: int) -> Optional[Tuple[Codes, Codes]]:
     """Raw Schreier rewriting of rep (sts..)_m = rep (tst..)_m, read from e
-    (id 0 of `table`)."""
+    (id 0 of `table`), over the letter codes of `table`."""
     m = table.system.m(s, t)
     if m is None:
         raise CoxeterError("the bond order m(s,t) must be finite")
-    sides = [table.rewrite(0, [(x, 1) for x in table.reps[rep].word + _alt(a, b, m)])
+    sides = [table._rewrite_codes(0, [(x, 1) for x in table.reps[rep].word + _alt(a, b, m)])
              for a, b in ((s, t), (t, s))]
     (lhs, lrep), (rhs, rrep) = sides
     assert lrep == rrep
-    return normalize_relation(lhs, rhs)
+    return _ordered(_free_reduce_codes(lhs), _free_reduce_codes(rhs))
 
 
 def _relation_instances(table: CosetTable):
@@ -294,14 +340,14 @@ def _relation_instances(table: CosetTable):
     when both are UP steps (family (1)), or i = 1..m-1 with the UP letter
     first when one is a CONJ step (family (2)).  Each representative b0 w,
     w in W_{s,t}, that is I-reduced is reached once per couple s < t."""
-    system = table.system
+    system, rank, transitions = table.system, table.rank, table.transitions
     for b0 in range(len(table.reps)):
-        for s in range(system.rank):
-            for t in range(s + 1, system.rank):
+        for s in range(rank):
+            for t in range(s + 1, rank):
                 m = system.m(s, t)
                 if m is None:
                     continue
-                kinds = (table.step(b0, s)[0], table.step(b0, t)[0])
+                kinds = (transitions[b0 * rank + s][0], transitions[b0 * rank + t][0])
                 if DOWN in kinds:
                     continue
                 yield b0, s, t, 0
@@ -343,9 +389,9 @@ class Presentation:
         return frozenset(canonical_relator(u, v) for u, v in self.relations)
 
     def to_text(self) -> str:
-        gens = ", ".join(symbol_str(self.system, g) for g in self.generators)
-        rels = ", ".join(f"{word_str(self.system, u)} = {word_str(self.system, v)}"
-                         for u, v in self.relations)
+        names = _Spelling(self.system)
+        gens = ", ".join(map(names.__getitem__, self.generators))
+        rels = ", ".join(f"{names.word(u)} = {names.word(v)}" for u, v in self.relations)
         return f"< {gens} | {rels} >"
 
     def to_json(self) -> dict:
@@ -355,8 +401,10 @@ class Presentation:
             return {"tag": "pure", "base": self.system.word_str(sym[1]),
                     "gen": self.system.labels[sym[2]]}
 
+        names = _Spelling(self.system)
+
         def enc_word(word):
-            return [[symbol_str(self.system, s), e] for s, e in word]
+            return [[names[s], e] for s, e in word]
 
         return {
             "system": self.system.name or f"rank{self.system.rank}",
@@ -399,7 +447,6 @@ def presentation_DI(system: CoxeterSystem, I, max_length: Optional[int] = None,
     I = tuple(sorted(set(I)))
     partial = max_length is not None and not system.is_finite()
     table = CosetTable(system, I, max_length)
-    gens = [cox_symbol(i) for i in I] + table.generators()
     relations = set()
     for b0, s, t, i in _relation_instances(table):
         m = system.m(s, t)
@@ -416,7 +463,13 @@ def presentation_DI(system: CoxeterSystem, I, max_length: Optional[int] = None,
         rel = relation_for(table, b0, s, t, i)
         if rel is not None:
             relations.add(rel)
-    relations = sorted(relations, key=lambda r: (word_key(r[0]), word_key(r[1])))
+    # codes sort as their letters by word_key; each distinct one is spelled
+    # once, and the relations are spelled in place
+    relations = sorted(relations, key=lambda r: (len(r[0]), r[0], len(r[1]), r[1]))
+    letters = {c: table.letter(c) for c in {c for u, v in relations for c in u + v}}
+    for n, (u, v) in enumerate(relations):
+        relations[n] = tuple(map(letters.__getitem__, u)), tuple(map(letters.__getitem__, v))
+    gens = [cox_symbol(i) for i in I] + table.generators()
     return Presentation(system, I, gens, relations, partial=partial)
 
 
@@ -479,8 +532,8 @@ def soundness_report(p: Presentation) -> dict:
             return {frames[()][sym[1]]: e}, (sym[1],)
         return {roots[sym]: 2 * e}, ()
 
-    unit = {}, frames[()]
-    failures = [(word_str(system, u), word_str(system, v)) for u, v in p.relations
+    unit, names = ({}, frames[()]), _Spelling(system)
+    failures = [(names.word(u), names.word(v)) for u, v in p.relations
                 if system._fold_Np(map(image, u + word_inv(v))) != unit]
     return {"checked": len(p.relations), "failures": failures,
             "passed": not failures, "certificate": "mod D(P_W)"}
@@ -625,16 +678,15 @@ def semidirect_split(system: CoxeterSystem, I,
     """Report for D_I = U_I x| B_I: h o j = id and relations survive h."""
     I = tuple(sorted(set(I)))
     p = presentation_DI(system, I, max_length=max_length)
-    failures = []
-    for u, v in p.relations:
-        if not _equal_I_words(system, retraction_h(u), retraction_h(v)):
-            failures.append((word_str(system, u), word_str(system, v)))
+    names = _Spelling(system)
+    failures = [(names.word(u), names.word(v)) for u, v in p.relations
+                if not _equal_I_words(system, retraction_h(u), retraction_h(v))]
     # h o j = identity: each generator of B_{W_I} maps to itself
     hj_ok = all(retraction_h(((cox_symbol(i), 1),)) == ((cox_symbol(i), 1),)
                 for i in I)
     return {
         "I": [system.labels[i] for i in I],
-        "normal_generators": [symbol_str(system, g) for g in p.pure_generators()],
+        "normal_generators": [names[g] for g in p.pure_generators()],
         "retraction_ok": hj_ok,
         "relations_preserved": not failures,
         "failures": failures,

@@ -255,6 +255,19 @@ def test_usage_errors(capsys):
     assert main([]) == 2
 
 
+def test_parser_is_built_once_and_keeps_no_state_between_calls(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    code, out, _ = run(capsys, "pure-present", "--type", "Atilde2",
+                       "--format", "text", "--max-length", "3")
+    assert code == 0 and out.startswith("< ")
+    # the same subcommand without the flags gets their defaults back:
+    # JSON, and no cap, which a finite system accepts
+    code, out, _ = run(capsys, "pure-present", "--type", "A3")
+    assert code == 0 and not json.loads(out)["partial"]
+    code, out, err = run(capsys, "pure-present", "--type", "A3", "--no-such-flag")
+    assert (code, out) == (2, "") and "error" in err
+
+
 @pytest.mark.parametrize("argv", [
     ["nmap", "--type", "A3", "--word", "s1^x"],
     ["nmap", "--type", "A3", "--word", "s1^"],

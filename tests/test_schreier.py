@@ -242,6 +242,26 @@ def test_schreier_kernel_call_budget(name, monkeypatch):
         assert calls == [], run.__name__
 
 
+@pytest.mark.parametrize("name,I", [("D4", ()), ("D4", (0,)), ("H3", ()), ("H3", (0, 1)),
+                                    ("triangle 5-5-5", ()), ("triangle 5-5-5", (0,))])
+def test_coset_table_takes_one_step_per_transition(name, I, monkeypatch):
+    # the walk records each transition as it steps: one coset step per
+    # (representative, s), the last level of a truncated walk included, and
+    # none after the walk, whatever is built on the table
+    system = system_from_json(TRIANGLE_555) if name.startswith("triangle") \
+        else named_system(name)
+    max_length = 6 if name.startswith("triangle") else None
+    expected = len(CosetTable(system, I, max_length).reps) * system.rank
+    calls = []
+    coset_step = CoxeterSystem._coset_step
+    monkeypatch.setattr(CoxeterSystem, "_coset_step",
+                        lambda self, r, s: calls.append((r, s)) or coset_step(self, r, s))
+    for run in (CosetTable, presentation_DI, crosscheck_closed_vs_raw):
+        calls.clear()
+        run(system, I, max_length)
+        assert len(calls) == len(set(calls)) == expected, run.__name__
+
+
 def test_generators_take_no_step_on_a_truncated_walk(monkeypatch):
     # whether b s is an UP step is the sign of entry s of the coset vector
     # of b: the generators of a truncated walk need no product of elements,

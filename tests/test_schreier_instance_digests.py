@@ -23,7 +23,14 @@ import sys
 import pytest
 
 from purebraid.coxeter import named_system, system_from_json
-from purebraid.schreier import crosscheck_closed_vs_raw, presentation_DI, presentation_pure
+from purebraid.schreier import (
+    Presentation,
+    crosscheck_closed_vs_raw,
+    presentation_DI,
+    presentation_pure,
+    symbol_key,
+    word_key,
+)
 
 DIGESTS = pathlib.Path(__file__).parent / "data" / "schreier_instance_digests.json"
 FINITE = ("A3", "B3", "H3", "D4", "I2(5)")
@@ -49,7 +56,8 @@ def _tag(system, I) -> str:
 
 
 def _cases(name):
-    """(key, thunk giving a JSON-able output) for one system."""
+    """(key, thunk giving a Presentation or a JSON-able report) for one
+    system."""
     system = _system(name)
     out = []
     if name in FINITE:
@@ -58,9 +66,9 @@ def _cases(name):
                 for top in (True, False):
                     out.append((f"presentation_DI {_tag(system, I)} family1_top={top}",
                                 lambda I=I, top=top: presentation_DI(
-                                    system, I, family1_top=top).to_json()))
+                                    system, I, family1_top=top)))
         out += [(f"presentation_pure max_length={n}",
-                 lambda n=n: presentation_pure(system, max_length=n).to_json())
+                 lambda n=n: presentation_pure(system, max_length=n))
                 for other, n in TRUNCATED_PURE if other == name]
         return out
     for n in range(7):
@@ -68,19 +76,35 @@ def _cases(name):
             for I in itertools.combinations(range(system.rank), k):
                 tag = f"{_tag(system, I)} max_length={n}"
                 out.append((f"presentation_DI {tag}", lambda I=I, n=n: presentation_DI(
-                    system, I, max_length=n).to_json()))
+                    system, I, max_length=n)))
                 out.append((f"crosscheck_closed_vs_raw {tag}",
                             lambda I=I, n=n: crosscheck_closed_vs_raw(system, I, max_length=n)))
     return out
 
 
 def compute(name) -> dict:
-    return {key: _digest(thunk()) for key, thunk in _cases(name)}
+    out = {key: thunk() for key, thunk in _cases(name)}
+    return {key: _digest(x.to_json() if isinstance(x, Presentation) else x)
+            for key, x in out.items()}
 
 
 @pytest.mark.parametrize("name", FINITE + INFINITE)
 def test_relation_instances_match_pinned_digests(name):
     assert compute(name) == json.loads(DIGESTS.read_text())[name]
+
+
+@pytest.mark.parametrize("name", FINITE + INFINITE)
+def test_presentations_come_in_symbol_order(name):
+    # the presentation is built and sorted on letter codes: their order must
+    # be the order of the symbols, by symbol_key and word_key
+    for key, thunk in _cases(name):
+        if key.startswith("crosscheck"):
+            continue
+        p = thunk()
+        pure = p.generators[len(p.I):]
+        assert list(pure) == sorted(pure, key=symbol_key), key
+        keys = [(word_key(u), word_key(v)) for u, v in p.relations]
+        assert keys == sorted(set(keys)), key
 
 
 if __name__ == "__main__":
