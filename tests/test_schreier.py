@@ -242,15 +242,14 @@ def test_schreier_kernel_call_budget(name, monkeypatch):
         assert calls == [], run.__name__
 
 
-@pytest.mark.parametrize("name,I", [("D4", ()), ("D4", (0,)), ("H3", ()), ("H3", (0, 1)),
-                                    ("triangle 5-5-5", ()), ("triangle 5-5-5", (0,))])
-def test_coset_table_takes_one_step_per_transition(name, I, monkeypatch):
+@pytest.mark.parametrize("name,I,max_length", [
+    ("D4", (), None), ("D4", (0,), None), ("H3", (), None), ("H3", (0, 1), None),
+    ("5-5-5", (), 6), ("5-5-5", (0,), 6)])
+def test_coset_table_takes_one_step_per_transition(name, I, max_length, monkeypatch):
     # the walk records each transition as it steps: one coset step per
     # (representative, s), the last level of a truncated walk included, and
     # none after the walk, whatever is built on the table
-    system = system_from_json(TRIANGLE_555) if name.startswith("triangle") \
-        else named_system(name)
-    max_length = 6 if name.startswith("triangle") else None
+    system = system_from_json(TRIANGLE_555) if name == "5-5-5" else named_system(name)
     expected = len(CosetTable(system, I, max_length).reps) * system.rank
     calls = []
     coset_step = CoxeterSystem._coset_step
