@@ -2,7 +2,11 @@
 
 Every subcommand prints a deterministic report (JSON or text) and exits with
 0 on success/pass, 1 when a verification report contains a failure, and 2 on
-usage errors.  Randomized checks take an explicit --seed.
+usage errors.  Randomized checks take an explicit --seed.  `present` and
+`pure-present` stream their output in pieces (`Presentation.write_json`,
+`write_text`).  When the output cannot be written (a closed pipe, as under
+`| head -1`, or a full disk), the command prints one line
+"error: cannot write output: ..." on stderr, no traceback, and exits with 1.
 """
 
 from __future__ import annotations
@@ -10,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import random
 import sys
 from typing import Optional
@@ -98,7 +103,7 @@ def _emit(doc, fmt: str) -> None:
 
 
 def _emit_presentation(p, fmt: str) -> int:
-    print(p.to_text() if fmt == "text" else json.dumps(p.to_json(), sort_keys=True, indent=2))
+    (p.write_text if fmt == "text" else p.write_json)(sys.stdout.write)
     return 0
 
 
@@ -357,6 +362,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _discard_stdout() -> None:
+    """Point the file descriptor of stdout, if it has one, at devnull."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, ValueError):  # io.UnsupportedOperation is a ValueError
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -364,13 +380,22 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CoxeterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:
+        # the commands read no file: this is a write to stdout that failed (a
+        # closed pipe, a full disk).  Point stdout at devnull, so that the
+        # flush at shutdown does not fail on what is left in its buffer.
+        _discard_stdout()
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -75,16 +75,23 @@ def word_key(word: Word):
     return (len(word), tuple((symbol_key(s), 0 if e == 1 else 1) for s, e in word))
 
 
-class _Spelling(dict):
+class _Memo(dict):
+    """{key: fn(key)}, each value computed once, on first use."""
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        self[key] = value = self.fn(key)
+        return value
+
+
+class _Spelling(_Memo):
     """{symbol: symbol_str}, each symbol spelled once, on first use."""
 
     def __init__(self, system: CoxeterSystem):
-        super().__init__()
-        self.system = system
-
-    def __missing__(self, sym: Symbol) -> str:
-        self[sym] = name = symbol_str(self.system, sym)
-        return name
+        super().__init__(lambda sym: symbol_str(system, sym))
 
     def word(self, word: Word) -> str:
         if not word:
@@ -366,6 +373,28 @@ def _relation_instances(table: CosetTable):
 # presentations
 
 
+_CHUNK = 4096  # generators or relations per call of `write` in Presentation
+
+
+def _write_joined(write, items, encode, sep: str) -> None:
+    """Write sep.join(map(encode, items)), one call per `_CHUNK` items."""
+    for k in range(0, len(items), _CHUNK):
+        if k:
+            write(sep)
+        write(sep.join(map(encode, items[k:k + _CHUNK])))
+
+
+def _write_list(write, items, encode) -> None:
+    """Write the items as a list of json.dumps(..., indent=2) one level down:
+    `encode` gives each item with its newline and indent."""
+    if not items:
+        write("[]")
+        return
+    write("[")
+    _write_joined(write, items, encode, ",")
+    write("\n  ]")
+
+
 class Presentation:
     """Generators (Coxeter lifts of I plus pure generators) and relations."""
 
@@ -388,11 +417,57 @@ class Presentation:
     def relator_set(self) -> frozenset:
         return frozenset(canonical_relator(u, v) for u, v in self.relations)
 
-    def to_text(self) -> str:
+    def write_text(self, write) -> None:
+        """Write "< generators | relations >" and a newline through `write`,
+        one call per `_CHUNK` generators or relations."""
         names = _Spelling(self.system)
-        gens = ", ".join(map(names.__getitem__, self.generators))
-        rels = ", ".join(f"{names.word(u)} = {names.word(v)}" for u, v in self.relations)
-        return f"< {gens} | {rels} >"
+        write("< ")
+        _write_joined(write, self.generators, names.__getitem__, ", ")
+        write(" | ")
+        _write_joined(write, self.relations,
+                      lambda rel: f"{names.word(rel[0])} = {names.word(rel[1])}", ", ")
+        write(" >\n")
+
+    def to_text(self) -> str:
+        """The line `write_text` writes, without its newline."""
+        parts = []
+        self.write_text(parts.append)
+        return "".join(parts)[:-1]
+
+    def write_json(self, write) -> None:
+        """Write json.dumps(self.to_json(), sort_keys=True, indent=2) + "\\n"
+        through `write`, one call per `_CHUNK` generators or relations, so no
+        string holds the whole document.
+
+        The document is put together from fixed templates.  Labels, names
+        and bases go through json.dumps, so they are escaped as there, and
+        each distinct letter is spelled once into its [name, e] block.
+        """
+        system, dumps = self.system, json.dumps
+        label = [dumps(x) for x in system.labels]
+        names = _Spelling(system)
+        block = _Memo(lambda letter: "\n        [\n          %s,\n          %d\n        ]"
+                      % (dumps(names[letter[0]]), letter[1])).__getitem__
+
+        def generator(sym):
+            if sym[0] == "s":
+                return '\n    {\n      "gen": %s,\n      "tag": "cox"\n    }' % label[sym[1]]
+            return ('\n    {\n      "base": %s,\n      "gen": %s,\n      "tag": "pure"\n    }'
+                    % (dumps(system.word_str(sym[1])), label[sym[2]]))
+
+        def word(w):
+            return "[" + ",".join(map(block, w)) + "\n      ]" if w else "[]"
+
+        def relation(rel):
+            return f"\n    [\n      {word(rel[0])},\n      {word(rel[1])}\n    ]"
+
+        write('{\n  "I": ')
+        _write_list(write, self.I, lambda i: "\n    " + label[i])
+        write(',\n  "generators": ')
+        _write_list(write, self.generators, generator)
+        write(',\n  "partial": %s,\n  "relations": ' % dumps(self.partial))
+        _write_list(write, self.relations, relation)
+        write(',\n  "system": %s\n}\n' % dumps(system.name or f"rank{system.rank}"))
 
     def to_json(self) -> dict:
         def enc_sym(sym):

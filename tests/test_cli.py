@@ -1,7 +1,10 @@
 import itertools
 import json
+import os
 import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -81,6 +84,44 @@ def test_pure_present_matches_golden(capsys):
     # byte stability
     code, out2, _ = run(capsys, "pure-present", "--type", "A2")
     assert out2 == out
+
+
+def _run_cli_into(stdout, unbuffered, *argv):
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env.update(PYTHONPATH=src, **({"PYTHONUNBUFFERED": "1"} if unbuffered else {}))
+    return subprocess.run([sys.executable, "-m", "purebraid.cli", *argv], stdout=stdout,
+                          stderr=subprocess.PIPE, env=env, text=True, timeout=120)
+
+
+# B3's pure presentation fails in the middle of the writes, A2's in the flush
+# that ends main; buffered, what is left in the buffer must not fail again at
+# shutdown
+_WRITE_FAILURES = [(unbuffered, argv) for unbuffered in (False, True) for argv in (
+    ("pure-present", "--type", "B3"),
+    ("present", "--type", "A2", "--I", "s1", "--format", "text"))]
+
+
+@pytest.mark.parametrize("unbuffered,argv", _WRITE_FAILURES)
+def test_closed_output_pipe_is_one_error_line(unbuffered, argv):
+    # as in `purebraid pure-present --type F4 | head -1`: the reader is gone
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = _run_cli_into(write, unbuffered, *argv)
+    finally:
+        os.close(write)
+    assert done.returncode == 1
+    assert done.stderr == "error: cannot write output: [Errno 32] Broken pipe\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered,argv", _WRITE_FAILURES)
+def test_full_output_device_is_one_error_line(unbuffered, argv):
+    with open("/dev/full", "w") as full:
+        done = _run_cli_into(full, unbuffered, *argv)
+    assert done.returncode == 1
+    assert done.stderr == "error: cannot write output: [Errno 28] No space left on device\n"
 
 
 def test_devissage(capsys):

@@ -1,4 +1,5 @@
 import itertools
+import json
 import os
 import random
 import subprocess
@@ -25,6 +26,7 @@ from paper_claims import (
     word_to_braid,
 )
 import purebraid
+from purebraid import schreier
 from purebraid.braid import BraidWord, lift
 from purebraid.coxeter import (
     CoxElem,
@@ -718,6 +720,24 @@ def test_presentation_text_contains_generators():
     text = p.to_text()
     assert text.startswith("< ") and " | " in text
     assert "a[s3 s2;s1]" in text
+
+
+def test_writers_stream_the_relations_in_chunks():
+    # F4's pure presentation has more relations than one chunk: no write may
+    # carry more than a chunk of them, and the writes join to the document
+    p = presentation_pure(named_system("F4"))
+    assert len(p.relations) > schreier._CHUNK
+    writes = []
+    p.write_json(writes.append)
+    assert "".join(writes) == json.dumps(p.to_json(), sort_keys=True, indent=2) + "\n"
+    # a relation, and nothing else, opens with a line "    ["
+    per_write = [w.count("\n    [") for w in writes]
+    assert max(per_write) <= schreier._CHUNK and sum(per_write) == len(p.relations)
+    writes = []
+    p.write_text(writes.append)
+    assert "".join(writes) == p.to_text() + "\n"
+    per_write = [w.count(" = ") for w in writes]
+    assert max(per_write) <= schreier._CHUNK and sum(per_write) == len(p.relations)
 
 
 def test_presentation_rejects_undeclared_symbols():

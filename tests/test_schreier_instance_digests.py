@@ -9,12 +9,17 @@
   - for four hyperbolic triangle groups at every max_length 0..6,
     `presentation_DI` and `crosscheck_closed_vs_raw` for every I with
     |I| <= 2.
-Regenerate it (only when an output is meant to change) with
+The same cases, with a few edge presentations, check that
+`Presentation.write_json` writes the bytes of the indented `to_json` and
+`write_text` those of the "< generators | relations >" line.
+
+Regenerate the digests (only when an output is meant to change) with
 
     PYTHONPATH=src python tests/test_schreier_instance_digests.py --write
 """
 
 import hashlib
+import io
 import itertools
 import json
 import pathlib
@@ -29,7 +34,9 @@ from purebraid.schreier import (
     presentation_DI,
     presentation_pure,
     symbol_key,
+    symbol_str,
     word_key,
+    word_str,
 )
 
 DIGESTS = pathlib.Path(__file__).parent / "data" / "schreier_instance_digests.json"
@@ -105,6 +112,40 @@ def test_presentations_come_in_symbol_order(name):
         assert list(pure) == sorted(pure, key=symbol_key), key
         keys = [(word_key(u), word_key(v)) for u, v in p.relations]
         assert keys == sorted(set(keys)), key
+
+
+def _written(writer) -> str:
+    out = io.StringIO()
+    writer(out.write)
+    return out.getvalue()
+
+
+def _check_writers(p, key):
+    assert _written(p.write_json) == json.dumps(p.to_json(), sort_keys=True, indent=2) + "\n", key
+    gens = ", ".join(symbol_str(p.system, g) for g in p.generators)
+    rels = ", ".join(f"{word_str(p.system, u)} = {word_str(p.system, v)}" for u, v in p.relations)
+    assert _written(p.write_text) == f"< {gens} | {rels} >\n", key
+
+
+@pytest.mark.parametrize("name", FINITE + INFINITE)
+def test_writers_give_the_indented_json_and_the_text_line(name):
+    for key, thunk in _cases(name):
+        if not key.startswith("crosscheck"):
+            _check_writers(thunk(), key)
+
+
+def test_writers_on_edge_presentations():
+    # I = S of the finite types is among the cases above
+    a1, affine = named_system("A1"), named_system("Atilde2")
+    cases = {
+        "A1 pure (no relation)": presentation_pure(a1),
+        "A1 I=S": presentation_DI(a1, (0,)),
+        "Atilde2 pure max_length=3 (partial)": presentation_pure(affine, max_length=3),
+    }
+    assert not cases["A1 pure (no relation)"].relations
+    assert cases["Atilde2 pure max_length=3 (partial)"].partial
+    for key, p in cases.items():
+        _check_writers(p, key)
 
 
 if __name__ == "__main__":
