@@ -6,10 +6,11 @@ generators a_{b,s} = b s^2 b^{-1} (plus I itself) and, applied to the braid
 relations at every representative, a complete set of relations.  Each
 representative is b0 w with w in W_{s,t} and neither s nor t a right descent
 of b0, so the braid relation of s, t is rewritten at the instances
-(b0, s, t, i) of one enumeration; the closed forms of the relation families (1) and (2) give
-these rewritings directly.  `presentation_DI` keeps the closed form of each
-instance, and `crosscheck_closed_vs_raw` compares it with the raw rewriting
-at the instance's representative.
+(b0, s, t, i) of one square (b0, s < t).  The closed forms of the relation
+families (1) and (2) give all of them as slices of at most two climbs from
+b0, of (s t s ...) and of (t s t ...) (`_relation_instances`).
+`presentation_DI` keeps these closed forms, and `crosscheck_closed_vs_raw`
+compares each with the raw rewriting at the instance's representative.
 
 The transversal is one walk of the I-reduced elements, which records each
 transition rep.s as it takes the coset step: the module makes no product of
@@ -291,41 +292,6 @@ def _a_super(table: CosetTable, b0: int, s: int, t: int, n: int) -> Codes:
     return tuple(reversed(codes))
 
 
-def relation_for(table: CosetTable, b0: int, s: int, t: int,
-                 i: int) -> Optional[Tuple[Codes, Codes]]:
-    """Closed form of the rewriting of b0 (sts..)_m = b0 (tst..)_m at level i,
-    for the representative b0 of `table`, over the letter codes of `table`.
-
-    i = 0 is the degenerate case: trivial unless both b0 s and b0 t fail to be
-    I-reduced, in which case it is the braid relation between the conjugating
-    generators s', t' in I.  For i >= 1 the relation belongs to family (1)
-    (b0 t I-reduced, i = 1..m, at the representative b0 (tst..)_i) or family
-    (2) (b0 t = s' b0, i = 1..m-1, at the representative b0 (sts..)_i).
-    Both sides are positive words, so freely reduced.
-    """
-    m = table.system.m(s, t)
-    if m is None:
-        raise CoxeterError("the bond order m(s,t) must be finite")
-    (s_kind, sp), (t_kind, tp) = table.step(b0, s), table.step(b0, t)
-    if DOWN in (s_kind, t_kind):
-        raise CoxeterError("b0 must be reduced-{s,t}")
-    if i == 0:
-        if UP in (s_kind, t_kind):
-            return None
-        return _ordered(tuple(2 * x for x in _alt(sp, tp, m)),
-                        tuple(2 * x for x in _alt(tp, sp, m)))
-    if s_kind != UP:
-        raise CoxeterError("b0 s must be I-reduced when i >= 1")
-    if t_kind == UP:
-        if not 1 <= i <= m:
-            raise CoxeterError(f"family (1) needs 1 <= i <= m, got {i}")
-        return _ordered(_a_super(table, b0, s, t, m)[:i], _a_super(table, b0, t, s, i))
-    if not 1 <= i <= m - 1:
-        raise CoxeterError(f"family (2) needs 1 <= i <= m-1, got {i}")
-    a = _a_super(table, b0, s, t, m - 1)
-    return _ordered((2 * tp,) + a[:i], a[m - 1 - i:] + (2 * tp,))
-
-
 def rewrite_braid_relation(table: CosetTable, rep: int, s: int,
                            t: int) -> Optional[Tuple[Codes, Codes]]:
     """Raw Schreier rewriting of rep (sts..)_m = rep (tst..)_m, read from e
@@ -340,33 +306,64 @@ def rewrite_braid_relation(table: CosetTable, rep: int, s: int,
     return _ordered(_free_reduce_codes(lhs), _free_reduce_codes(rhs))
 
 
-def _relation_instances(table: CosetTable):
-    """The (b0, s, t, i) at which relation_for rewrites a braid relation: for
-    each walked b0 and s < t with m(s, t) finite and neither b0 s nor b0 t a
-    DOWN step, i = 0; then i = 1..m-1 for (s, t) and (t, s) and i = m once
-    when both are UP steps (family (1)), or i = 1..m-1 with the UP letter
-    first when one is a CONJ step (family (2)).  Each representative b0 w,
-    w in W_{s,t}, that is I-reduced is reached once per couple s < t."""
+def _relation_instances(table: CosetTable, levels):
+    """The closed forms of the braid relations rewritten at the
+    representatives of `table`, one square (b0, s < t) at a time:
+    (b0, x, y, i, relation) for the instance stated at the representative
+    b0 (x y x ...)_i, over the letter codes of `table`, relation None when
+    its two sides agree.  Both sides are positive words, so freely reduced.
+
+    A square is a walked b0 and s < t with m = m(s, t) finite and neither
+    b0 s nor b0 t a DOWN step; each representative b0 w, w in W_{s,t}, that
+    is I-reduced is reached once per couple s < t.  Its instances are
+      - i = 0, trivial unless b0 s = s' b0 and b0 t = t' b0 are both CONJ
+        steps, when it is the braid relation of s', t';
+      - family (1), b0 s and b0 t both UP steps: the climbs A of
+        (s t s ...)_m and B of (t s t ...)_m from b0 (`_a_super`) give
+        A[:i] = B[m-i:] at b0 (t s t ...)_i and B[:i] = A[m-i:] at
+        b0 (s t s ...)_i for i = 1..m-1, and A = B at i = m;
+      - family (2), b0 x an UP step and b0 y = y' b0: the climb a of
+        (x y x ...)_{m-1} gives y' a[:i] = a[m-1-i:] y' at b0 (x y x ...)_i
+        for i = 1..m-1.
+    levels(b0, m, n) is the highest level kept at a square of b0 whose
+    closed form climbs n letters (m, m - 1, or 0 for two CONJ steps), or
+    less than 0 for none.  The climbs are made once per square, and only
+    when a level i >= 1 is kept.
+    """
     system, rank, transitions = table.system, table.rank, table.transitions
     for b0 in range(len(table.reps)):
         for s in range(rank):
+            s_kind, sp = transitions[b0 * rank + s]
+            if s_kind == DOWN:
+                continue
             for t in range(s + 1, rank):
                 m = system.m(s, t)
-                if m is None:
+                t_kind, tp = transitions[b0 * rank + t]
+                if m is None or t_kind == DOWN:
                     continue
-                kinds = (transitions[b0 * rank + s][0], transitions[b0 * rank + t][0])
-                if DOWN in kinds:
+                if s_kind == t_kind == CONJ:
+                    if levels(b0, m, 0) >= 0:
+                        yield b0, s, t, 0, _ordered(tuple(2 * x for x in _alt(sp, tp, m)),
+                                                    tuple(2 * x for x in _alt(tp, sp, m)))
                     continue
-                yield b0, s, t, 0
-                if kinds == (UP, UP):
-                    for i in range(1, m):
-                        yield b0, s, t, i
-                        yield b0, t, s, i
-                    yield b0, s, t, m
-                elif UP in kinds:
-                    up, conj = (s, t) if kinds[0] == UP else (t, s)
-                    for i in range(1, m):
-                        yield b0, up, conj, i
+                n = levels(b0, m, m if s_kind == t_kind else m - 1)
+                if n < 0:
+                    continue
+                yield b0, s, t, 0, None
+                if s_kind == t_kind:
+                    if n:
+                        A, B = _a_super(table, b0, s, t, m), _a_super(table, b0, t, s, m)
+                    for i in range(1, min(n, m - 1) + 1):
+                        yield b0, t, s, i, _ordered(A[:i], B[m - i:])
+                        yield b0, s, t, i, _ordered(B[:i], A[m - i:])
+                    if n == m:
+                        yield b0, t, s, m, _ordered(A, B)
+                    continue
+                x, y, c = (s, t, 2 * tp) if s_kind == UP else (t, s, 2 * sp)
+                if n:
+                    a = _a_super(table, b0, x, y, m - 1)
+                for i in range(1, n + 1):
+                    yield b0, x, y, i, _ordered((c,) + a[:i], a[m - 1 - i:] + (c,))
 
 
 # ---------------------------------------------------------------------------
@@ -522,22 +519,20 @@ def presentation_DI(system: CoxeterSystem, I, max_length: Optional[int] = None,
     I = tuple(sorted(set(I)))
     partial = max_length is not None and not system.is_finite()
     table = CosetTable(system, I, max_length)
-    relations = set()
-    for b0, s, t, i in _relation_instances(table):
-        m = system.m(s, t)
-        if i == m and not family1_top:
-            continue
+
+    def levels(b0, m, n):
         # an instance of level i >= 1 is stated at a representative of length
-        # len(b0) + i, and its generators have bases of length up to
-        # len(b0) + m - 1 in family (1) (b0 t an UP step), len(b0) + m - 2 in
-        # family (2)
-        if max_length is not None and i and len(table.reps[b0]) + max(
-                i, m - 1 if table.step(b0, t)[0] == UP else m - 2) > max_length:
-            partial = True
-            continue
-        rel = relation_for(table, b0, s, t, i)
-        if rel is not None:
-            relations.add(rel)
+        # len(b0) + i, and the bases of its generators reach len(b0) + n - 1
+        nonlocal partial
+        top = m - 1 if n == m and not family1_top else n
+        if max_length is None:
+            return top
+        room = max_length - len(table.reps[b0])
+        kept = min(top, room) if room >= n - 1 else 0
+        partial = partial or kept < top
+        return kept
+
+    relations = {rel for *_, rel in _relation_instances(table, levels) if rel is not None}
     # codes sort as their letters by word_key; each distinct one is spelled
     # once, and the relations are spelled in place
     relations = sorted(relations, key=lambda r: (len(r[0]), r[0], len(r[1]), r[1]))
@@ -558,26 +553,24 @@ def presentation_pure(system: CoxeterSystem,
 def crosscheck_closed_vs_raw(system: CoxeterSystem, I,
                              max_length: Optional[int] = None) -> dict:
     """Raw rewriting of every representative relation vs the closed forms:
-    relation_for at each instance against rewrite_braid_relation at the
-    representative the instance is stated for."""
+    each instance of `_relation_instances` against rewrite_braid_relation at
+    the representative the instance is stated at."""
     I = tuple(sorted(set(I)))
     table = CosetTable(system, I, max_length)
+
+    def levels(b0, m, n):
+        # the braid relation at the representative of level i climbs m
+        # letters from a representative of length len(b0) + i
+        return n if max_length is None else min(n, max_length - len(table.reps[b0]) - m)
+
     checked = 0
     failures = []
-    for b0, s, t, i in _relation_instances(table):
-        if max_length is not None:
-            # the walk goes by length and m(s, t) >= 2: no later b0 fits
-            if len(table.reps[b0]) + 2 > max_length:
-                break
-            if len(table.reps[b0]) + i + system.m(s, t) > max_length:
-                continue
-        # family (1) is stated at b0 (tst..)_i, family (2) at b0 (sts..)_i
-        x, y = (t, s) if table.step(b0, t)[0] == UP else (s, t)
+    for b0, x, y, i, rel in _relation_instances(table, levels):
         rep = table.climb(b0, _alt(x, y, i))
         checked += 1
-        if rewrite_braid_relation(table, rep, s, t) != relation_for(table, b0, s, t, i):
-            failures.append((str(table.reps[rep]), system.labels[min(s, t)],
-                             system.labels[max(s, t)]))
+        if rewrite_braid_relation(table, rep, x, y) != rel:
+            failures.append((str(table.reps[rep]), system.labels[min(x, y)],
+                             system.labels[max(x, y)]))
     return {"checked": checked, "failures": failures, "passed": not failures}
 
 
@@ -622,24 +615,64 @@ def abelianization(p: Presentation) -> dict:
     """Free rank and torsion of the abelianized group, from the Smith normal
     form of the relation matrix (one row per relation, u - v).
 
-    One sparse integer elimination (Havas-Holt-Rees) on exact integers.  The
-    pivot is an entry of least absolute value, then of least Markowitz cost
-    (row nonzeros - 1) * (column nonzeros - 1); +-1 entries come from a lazy
-    heap.  Row operations reduce its column, then column operations its row,
-    modulo the pivot; a pivot left alone is a diagonal entry.  The entries
-    other than 1 become a divisibility chain by gcd and lcm of each pair.
+    First a signed union-find merges the generators along the relations
+    x^e = y^f of one letter a side, each the Tietze move x = e f y that
+    eliminates a generator: every generator is +-1 times the root of its
+    class.  A relation whose letters already share a root r leaves the row
+    2 r when their signs disagree (x = x^-1 gives Z/2), and no row when they
+    agree.  Every other relation is a row on the root columns; a row equal
+    to another or to its negative is dropped.
+
+    Then one sparse integer elimination (Havas-Holt-Rees) on exact integers.
+    The pivot is an entry of least absolute value, then of least Markowitz
+    cost (row nonzeros - 1) * (column nonzeros - 1); +-1 entries come from a
+    lazy heap.  Row operations reduce its column, then column operations its
+    row, modulo the pivot; a pivot left alone is a diagonal entry.  The
+    entries other than 1 become a divisibility chain by gcd and lcm of each
+    pair.  The free rank counts the roots that no diagonal entry takes.
     """
     index = {g: k for k, g in enumerate(p.generators)}
-    rows = []
+    root, sign = list(range(len(index))), [1] * len(index)
+
+    def find(k):
+        # (root r, sign e) with k = e r, every step of the path pointed at r
+        path = []
+        while root[k] != k:
+            path.append(k)
+            k = root[k]
+        e = 1
+        for j in reversed(path):
+            e *= sign[j]
+            root[j], sign[j] = k, e
+        return k, e
+
+    doubled = set()  # the r with 2 r = 0, r a root when it was found
     for u, v in p.relations:
+        if len(u) == len(v) == 1:
+            (x, e), (y, f) = u[0], v[0]
+            (rx, ex), (ry, ey) = find(index[x]), find(index[y])
+            # e x = f y reads e ex rx = f ey ry
+            if rx != ry:
+                root[rx], sign[rx] = ry, e * ex * f * ey
+            elif e * ex != f * ey:
+                doubled.add(rx)
+    column = [find(k) for k in range(len(root))]
+    rows = {((column[r][0], 2),) for r in doubled}
+    for u, v in p.relations:
+        if len(u) == len(v) == 1:
+            continue
         row = {}
-        for side, sign in ((u, 1), (v, -1)):
+        for side, side_sign in ((u, 1), (v, -1)):
             for sym, e in side:
-                k = index[sym]
-                row[k] = row.get(k, 0) + sign * e
-        rows.append({k: x for k, x in row.items() if x})
+                r, er = column[index[sym]]
+                row[r] = row.get(r, 0) + side_sign * e * er
+        row = sorted((r, x) for r, x in row.items() if x)
+        if row and row[0][1] < 0:
+            row = [(r, -x) for r, x in row]
+        rows.add(tuple(row))
+    rows = [dict(row) for row in rows]
     factors = _invariant_factors(rows)
-    return {"free_rank": len(p.generators) - len(factors),
+    return {"free_rank": sum(k == r for k, r in enumerate(root)) - len(factors),
             "torsion": [d for d in factors if d != 1]}
 
 

@@ -291,6 +291,45 @@ def test_closed_forms_equal_raw_rewriting(name, I):
     assert report["passed"] and report["checked"] > 0
 
 
+@pytest.mark.parametrize("name,I", [("D4", ()), ("H3", ()), ("D4", (0,)), ("H3", (1, 2))])
+def test_one_pair_of_climbs_per_braid_square(name, I, monkeypatch):
+    # every instance at a square (b0, s < t) slices the climbs of
+    # (s t s ...) and (t s t ...) from b0 when b0 s and b0 t are both UP
+    # steps, and the one climb of (x y x ...) when b0 y is a CONJ step
+    system = named_system(name)
+    table = CosetTable(system, I)
+    budget = {}
+    for b0 in range(len(table.reps)):
+        for s, t in itertools.combinations(range(system.rank), 2):
+            kinds = sorted((table.step(b0, s)[0], table.step(b0, t)[0]))
+            budget[b0, s, t] = {(UP, UP): 2, (CONJ, UP): 1}.get(tuple(kinds), 0)
+    climbs = []
+    a_super = schreier._a_super
+    monkeypatch.setattr(schreier, "_a_super", lambda table, b0, s, t, n: climbs.append(
+        (b0, min(s, t), max(s, t))) or a_super(table, b0, s, t, n))
+    for run in (lambda: presentation_DI(system, I),
+                lambda: presentation_DI(system, I, family1_top=False),
+                lambda: crosscheck_closed_vs_raw(system, I)):
+        climbs.clear()
+        run()
+        assert climbs
+        for square in set(climbs):
+            assert climbs.count(square) <= budget[square], square
+
+
+@pytest.mark.parametrize("name", ["A3", "B3"])
+def test_crosscheck_catches_a_corrupted_climb(name, monkeypatch):
+    # the raw side rewrites on the coset table alone: closed forms built on
+    # climbs with their first two codes swapped must fail the cross-check
+    a_super = schreier._a_super
+    monkeypatch.setattr(schreier, "_a_super",
+                        lambda *args: (lambda c: c[1::-1] + c[2:])(a_super(*args)))
+    system = named_system(name)
+    for I in ((), (0,)):
+        report = crosscheck_closed_vs_raw(system, I)
+        assert report["failures"] and not report["passed"], I
+
+
 # -- certificates on presentations ----------------------------------------
 
 
@@ -558,6 +597,39 @@ def test_abelianization_matches_sympy_on_random_matrices():
             assert abelianization(p) == expected
             with_torsion += bool(expected["torsion"])
         assert with_torsion >= least_with_torsion
+
+
+def test_abelianization_merges_one_letter_relations_as_sympy_does():
+    pytest.importorskip("sympy")
+    rng = random.Random(19)
+    system = named_system("A2")
+    seen = set()
+    for _ in range(300):
+        gens = [("a", (), k) for k in range(rng.randint(1, 8))]
+
+        def letter(k):
+            return gens[k], rng.choice((1, -1))
+
+        rels = []
+        # chains x_0 = x_1 = ..., some closed into cycles, of random signs
+        for _ in range(rng.randint(0, 2)):
+            chain = rng.sample(range(len(gens)), rng.randint(1, len(gens)))
+            if rng.random() < 0.5:
+                chain.append(chain[0])
+            rels += [((letter(a),), (letter(b),)) for a, b in zip(chain, chain[1:])]
+        # x = x^-1 (torsion 2), x = x (no relation) and longer words
+        for _ in range(rng.randint(0, 2)):
+            k = rng.randrange(len(gens))
+            rels.append(((letter(k),), ((gens[k], rng.choice((1, -1))),)))
+        for _ in range(rng.randint(0, 3)):
+            rels.append(tuple(tuple(letter(rng.randrange(len(gens)))
+                                    for _ in range(rng.randint(0, 3))) for _ in "uv"))
+        rng.shuffle(rels)
+        p = Presentation(system, (), gens, rels)
+        expected = _sympy_abelianization(p)
+        assert abelianization(p) == expected, rels
+        seen.add((expected["free_rank"] > 0, tuple(expected["torsion"])))
+    assert {(True, ()), (False, ()), (True, (2,)), (False, (2,))} <= seen
 
 
 def test_abelianization_and_cli_run_without_sympy():
