@@ -353,11 +353,10 @@ def _relation_instances(table: CosetTable, levels):
                 if s_kind == t_kind:
                     if n:
                         A, B = _a_super(table, b0, s, t, m), _a_super(table, b0, t, s, m)
-                    for i in range(1, min(n, m - 1) + 1):
+                    for i in range(1, n + 1):
                         yield b0, t, s, i, _ordered(A[:i], B[m - i:])
-                        yield b0, s, t, i, _ordered(B[:i], A[m - i:])
-                    if n == m:
-                        yield b0, t, s, m, _ordered(A, B)
+                        if i < m:
+                            yield b0, s, t, i, _ordered(B[:i], A[m - i:])
                     continue
                 x, y, c = (s, t, 2 * tp) if s_kind == UP else (t, s, 2 * sp)
                 if n:

@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 import textwrap
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -313,8 +314,8 @@ def test_one_pair_of_climbs_per_braid_square(name, I, monkeypatch):
         climbs.clear()
         run()
         assert climbs
-        for square in set(climbs):
-            assert climbs.count(square) <= budget[square], square
+        for square, count in Counter(climbs).items():
+            assert count <= budget[square], square
 
 
 @pytest.mark.parametrize("name", ["A3", "B3"])
