@@ -11,7 +11,8 @@ and the sign of r_s says how s acts: r_s > 0, ws is longer and I-reduced;
 r_s < 0, ws is shorter; r_s = 0, ws = tw for the t in I with w(a_s) = a_t
 (Deodhar).  The Cartan matrix A is integral when every bond lies in
 {2, 3, 4, 6, inf}; otherwise it is the symmetric matrix of -2cos(pi/m) over
-the exact ring Z[2cos(pi/M)], with signs certified in integers.
+the exact ring Z[2cos(pi/M)], with signs certified in integers: 2cos(pi/M)
+is bracketed by bisection on the sign of its minimal polynomial.
 
 At I = () the vector of w is the heights of the roots w(a_j), and s is a
 right descent of w iff r_s < 0.  `CoxElem` products, inverses, normal forms
@@ -95,10 +96,13 @@ class _RealCyclotomic:
     positive) coordinate is positive (negative).  Otherwise the element is
     bounded by integer brackets of theta^k 2^bits, with twice the bits until
     the bracket of the element excludes 0; it does, the element being
-    nonzero.  The brackets come from pi by Machin's formula and 2cos(pi/M)
-    by its Taylor series, in integer interval arithmetic: every quantity is
-    positive, lower ends are rounded down and upper ends up, and each
-    alternating series stops at a term below one unit.
+    nonzero.  The bracket of theta 2^g is bisected on the sign of its
+    minimal polynomial psi, evaluated exactly in integers.  It starts at
+    lo = floor((2 - (22/7M)^2) 2^g) and hi = 2^(g+1): cos x >= 1 - x^2/2 and
+    pi < 22/7 put lo below theta, and lo lies above 2cos(3 pi/M), hence
+    above every other root 2cos(k pi/M) of psi; theta being the largest
+    root, psi < 0 between lo and theta and psi > 0 above theta.  theta is
+    irrational, so psi is never 0 at a midpoint.
     """
 
     def __init__(self, M: int):
@@ -176,41 +180,22 @@ class _RealCyclotomic:
         return self._bounds[bits]
 
     def _theta_bracket(self, g: int) -> Tuple[int, int]:
-        """Integers lo <= theta 2^g <= hi (see the class docstring)."""
-        def alternating(terms):
-            # sum of an alternating series of decreasing positive terms,
-            # each given as a bracket (a, b)
-            lo = hi = 0
-            for k, (a, b) in enumerate(terms):
-                if b <= 1:  # this term and the tail are within one unit
-                    return lo - 1, hi + 1
-                lo, hi = (lo + a, hi + b) if k % 2 == 0 else (lo - b, hi - a)
+        """Integers lo < theta 2^g < hi = lo + 1 (see the class docstring)."""
+        def above(k):  # k > theta 2^g, for lo <= k <= hi: psi(k / 2^g) > 0
+            value = 0  # psi(k / 2^g) 2^(g d), by Horner's rule
+            for i, c in enumerate(reversed(self.poly)):
+                value = value * k + (c << g * i)
+            return value > 0
 
-        def atan_inv(n):  # atan(1/n) 2^g; floor(floor(x)/m) = floor(x/m)
-            def terms():
-                power, k = (1 << g) // n, 0
-                while True:
-                    yield power // (2 * k + 1), power // (2 * k + 1) + 1
-                    power, k = power // (n * n), k + 1
-            return alternating(terms())
-
-        a_lo, a_hi = atan_inv(5)
-        b_lo, b_hi = atan_inv(239)
-        x_lo = (16 * a_lo - 4 * b_hi) // self.M  # pi/M, below 1
-        x_hi = -(-(16 * a_hi - 4 * b_lo) // self.M)
-        x2_lo, x2_hi = x_lo * x_lo >> g, -(-x_hi * x_hi >> g)
-
-        def cos_terms():  # x^(2k) / (2k)!
-            t_lo = t_hi = 1 << g
-            k = 0
-            while True:
-                yield t_lo, t_hi
-                k += 1
-                m = (2 * k - 1) * (2 * k) << g
-                t_lo, t_hi = t_lo * x2_lo // m, -(-t_hi * x2_hi // m)
-
-        c_lo, c_hi = alternating(cos_terms())
-        return 2 * c_lo, 2 * c_hi
+        m2 = 49 * self.M * self.M  # lo = floor((2 - (22 / 7M)^2) 2^g)
+        lo, hi = ((2 * m2 - 484) << g) // m2, 2 << g
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if above(mid):
+                hi = mid
+            else:
+                lo = mid
+        return lo, hi
 
 
 def _min_poly_2cos(M: int) -> list:

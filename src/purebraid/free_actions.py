@@ -128,6 +128,11 @@ def _conj(c: FreeWord, w: FreeWord) -> FreeWord:
     return word_mul(word_inv(c), w, c)
 
 
+def _twist(x: str, y: str) -> Dict[str, FreeWord]:
+    """The half-twist of the basis letters x, y: x -> y, y -> y^-1 x y."""
+    return {x: letter(y), y: _conj(letter(y), letter(x))}
+
+
 class ActionModel:
     """Acting Artin generators mapped to automorphisms of a free basis.
 
@@ -165,25 +170,23 @@ class ActionModel:
 def action_model(kind: str, size: int) -> ActionModel:
     """Conjugation action tables.
 
-    - "A", n: Artin generators s1..sn acting on the free group a1..a_{n+1}.
+    - "A", n: Artin generators s1..sn acting on the free group a1..a_{n+1};
+      s_i is the half-twist of a_i, a_{i+1} (`_twist`).
     - "B", n: s1..s_{n-1} on the x/y basis x1..xn, y1..y_{n-1} (y_n = 1).
-    - "B_ab", n: the same acting group on the a/b basis a1..an, b2..bn.
+    - "B_ab", n: the same acting group on the a/b basis a1..an, b2..bn;
+      s_i, i >= 2, is the twist of a_i, a_{i+1} with that of b_{i+1}, b_i.
     - "I2", m: the single generator s on a1..a_{m-1}.
     - "D", n: s2, s2', s3..s_{n-1} on a2, a2', a3..an, b3..bn (table only;
-      the modeled group is not free).
+      the modeled group is not free); s2 twists a2, a3 and b3, a2', s2'
+      twists a2', a3 and b3, a2, and s_i is as in B_ab.
     """
     if kind == "A":
         if size < 1:
             raise CoxeterError("type A model needs size >= 1")
         system = named_system(f"A{size}")
         basis = [f"a{i}" for i in range(1, size + 2)]
-        table = {}
-        for i in range(1, size + 1):
-            ai, an = f"a{i}", f"a{i+1}"
-            table[f"s{i}"] = FreeAut(basis, {
-                ai: letter(an),
-                an: _conj(letter(an), letter(ai)),
-            })
+        table = {f"s{i}": FreeAut(basis, _twist(f"a{i}", f"a{i+1}"))
+                 for i in range(1, size + 1)}
         return ActionModel(kind, size, basis, system, table)
     if kind == "B":
         if size < 2:
@@ -219,14 +222,8 @@ def action_model(kind: str, size: int) -> ActionModel:
             "a2": _conj(word_mul(letter("a1"), letter("a2")), letter("b2")),
         })}
         for i in range(2, n):
-            ai, an = f"a{i}", f"a{i+1}"
-            bi, bn = f"b{i}", f"b{i+1}"
-            table[f"s{i}"] = FreeAut(basis, {
-                ai: letter(an),
-                an: _conj(letter(an), letter(ai)),
-                bn: letter(bi),
-                bi: _conj(letter(bi), letter(bn)),
-            })
+            table[f"s{i}"] = FreeAut(basis, {**_twist(f"a{i}", f"a{i+1}"),
+                                             **_twist(f"b{i+1}", f"b{i}")})
         return ActionModel(kind, size, basis, system, table)
     if kind == "I2":
         m = size
@@ -248,28 +245,12 @@ def action_model(kind: str, size: int) -> ActionModel:
         basis = ["a2", "a2'"] + [f"a{i}" for i in range(3, n + 1)] \
             + [f"b{i}" for i in range(3, n + 1)]
         table = {
-            "s2": FreeAut(basis, {
-                "a2": letter("a3"),
-                "a3": _conj(letter("a3"), letter("a2")),
-                "b3": letter("a2'"),
-                "a2'": _conj(letter("a2'"), letter("b3")),
-            }),
-            "s2'": FreeAut(basis, {
-                "a2'": letter("a3"),
-                "a3": _conj(letter("a3"), letter("a2'")),
-                "b3": letter("a2"),
-                "a2": _conj(letter("a2"), letter("b3")),
-            }),
+            "s2": FreeAut(basis, {**_twist("a2", "a3"), **_twist("b3", "a2'")}),
+            "s2'": FreeAut(basis, {**_twist("a2'", "a3"), **_twist("b3", "a2")}),
         }
         for i in range(3, n):
-            ai, an = f"a{i}", f"a{i+1}"
-            bi, bn = f"b{i}", f"b{i+1}"
-            table[f"s{i}"] = FreeAut(basis, {
-                ai: letter(an),
-                an: _conj(letter(an), letter(ai)),
-                bn: letter(bi),
-                bi: _conj(letter(bi), letter(bn)),
-            })
+            table[f"s{i}"] = FreeAut(basis, {**_twist(f"a{i}", f"a{i+1}"),
+                                             **_twist(f"b{i+1}", f"b{i}")})
         commutations = (
             (letter("a2"), letter("a2'")),
             (_conj(letter("a2'"), letter("b3")), letter("a3")),

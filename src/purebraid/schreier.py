@@ -294,12 +294,13 @@ def _a_super(table: CosetTable, b0: int, s: int, t: int, n: int) -> Codes:
 
 def rewrite_braid_relation(table: CosetTable, rep: int, s: int,
                            t: int) -> Optional[Tuple[Codes, Codes]]:
-    """Raw Schreier rewriting of rep (sts..)_m = rep (tst..)_m, read from e
-    (id 0 of `table`), over the letter codes of `table`."""
+    """Raw Schreier rewriting of rep (sts..)_m = rep (tst..)_m, read from
+    rep, over the letter codes of `table`; the word of rep, all UP steps
+    read forwards, would emit no letter."""
     m = table.system.m(s, t)
     if m is None:
         raise CoxeterError("the bond order m(s,t) must be finite")
-    sides = [table._rewrite_codes(0, [(x, 1) for x in table.reps[rep].word + _alt(a, b, m)])
+    sides = [table._rewrite_codes(rep, [(x, 1) for x in _alt(a, b, m)])
              for a, b in ((s, t), (t, s))]
     (lhs, lrep), (rhs, rrep) = sides
     assert lrep == rrep
@@ -409,9 +410,6 @@ class Presentation:
 
     def pure_generators(self):
         return [g for g in self.generators if g[0] == "a"]
-
-    def relator_set(self) -> frozenset:
-        return frozenset(canonical_relator(u, v) for u, v in self.relations)
 
     def write_text(self, write) -> None:
         """Write "< generators | relations >" and a newline through `write`,
@@ -553,9 +551,14 @@ def crosscheck_closed_vs_raw(system: CoxeterSystem, I,
                              max_length: Optional[int] = None) -> dict:
     """Raw rewriting of every representative relation vs the closed forms:
     each instance of `_relation_instances` against rewrite_braid_relation at
-    the representative the instance is stated at."""
+    the representative the instance is stated at.  Raises CoxeterError
+    unless the walk climbs from e along the word of each representative to
+    that representative."""
     I = tuple(sorted(set(I)))
     table = CosetTable(system, I, max_length)
+    for k, rep in enumerate(table.reps):
+        if table.climb(0, rep.word) != k:
+            raise CoxeterError(f"the walk does not reach {rep} along its word")
 
     def levels(b0, m, n):
         # the braid relation at the representative of level i climbs m

@@ -306,6 +306,20 @@ def test_ring_sign_and_equality_against_high_precision(M):
         _check_ring_against_high_precision(mpmath, M)
 
 
+@pytest.mark.parametrize("M", [5, 7, 8, 12, 20, 35])
+def test_theta_bracket_against_high_precision(M):
+    # 2^1024 theta has 309 digits before the point; 400 digits leave
+    # about 90 after it
+    mpmath = pytest.importorskip("mpmath")
+    ring = _RealCyclotomic(M)
+    with mpmath.workdps(400):
+        theta = 2 * mpmath.cos(mpmath.pi / M)
+        for g in (64, 256, 1024):
+            lo, hi = ring._theta_bracket(g)
+            scaled = theta * mpmath.mpf(2) ** g
+            assert mpmath.mpf(lo) < scaled < mpmath.mpf(hi), (M, g)
+
+
 def _check_ring_against_high_precision(mpmath, M):
     # a nonzero element with coefficients in [-5, 5] has a norm that is a
     # nonzero integer, and each of its d - 1 other conjugates is below

@@ -331,6 +331,21 @@ def test_crosscheck_catches_a_corrupted_climb(name, monkeypatch):
         assert report["failures"] and not report["passed"], I
 
 
+def test_crosscheck_checks_that_the_walk_reaches_each_representative(monkeypatch):
+    # each relation is rewritten from its representative, not along the
+    # representative's word from e: the walk along that word is checked
+    # once per table, and two swapped representatives must fail it
+    init = schreier.CosetTable.__init__
+
+    def swapped(self, *args):
+        init(self, *args)
+        self.reps[1], self.reps[2] = self.reps[2], self.reps[1]
+
+    monkeypatch.setattr(schreier.CosetTable, "__init__", swapped)
+    with pytest.raises(CoxeterError, match="does not reach"):
+        crosscheck_closed_vs_raw(named_system("A3"), ())
+
+
 # -- certificates on presentations ----------------------------------------
 
 
