@@ -80,6 +80,19 @@ class _Integers:
         """x as the factor a of `submul`."""
         return x
 
+    @staticmethod
+    def step(r, s, row):
+        """(sign of r_s, the coset vector r s), row being rows[s] of
+        `CoxeterSystem._cartan_rows` (see the module docstring)."""
+        x = r[s]
+        if not x:
+            return 0, r
+        out = list(r)
+        out[s] = -x
+        for t, a in row:
+            out[t] -= a * x
+        return (1 if x > 0 else -1), tuple(out)
+
 
 # (A[s][t], A[t][s]) for s < t: the integral Cartan split of a bond
 _INTEGRAL_SPLIT = {3: (-1, -1), 4: (-1, -2), 6: (-1, -3), None: (-2, -2)}
@@ -96,13 +109,19 @@ class _RealCyclotomic:
     positive) coordinate is positive (negative).  Otherwise the element is
     bounded by integer brackets of theta^k 2^bits, with twice the bits until
     the bracket of the element excludes 0; it does, the element being
-    nonzero.  The bracket of theta 2^g is bisected on the sign of its
-    minimal polynomial psi, evaluated exactly in integers.  It starts at
-    lo = floor((2 - (22/7M)^2) 2^g) and hi = 2^(g+1): cos x >= 1 - x^2/2 and
-    pi < 22/7 put lo below theta, and lo lies above 2cos(3 pi/M), hence
-    above every other root 2cos(k pi/M) of psi; theta being the largest
-    root, psi < 0 between lo and theta and psi > 0 above theta.  theta is
-    irrational, so psi is never 0 at a midpoint.
+    nonzero.  The bracket lo < theta 2^g < lo + 1 is read off the sign of
+    the minimal polynomial psi, evaluated exactly in integers by Horner's
+    rule.  Let L = floor((2 - (22/7M)^2) 2^g): cos x >= 1 - x^2/2 and
+    pi < 22/7 put L below theta 2^g, and for g >= 32 L lies above
+    2cos(3 pi/M) 2^g, hence above every other root 2cos(k pi/M) of psi;
+    theta being the largest root, psi < 0 between L and theta and psi > 0
+    above theta.  So an lo >= L with psi(lo) < 0 < psi(lo + 1) (scaled by
+    2^-g) certifies the bracket; theta is irrational, so psi is never 0
+    there.  Up to 48 bits the bracket is bisected from (L, 2^(g+1)).
+    Beyond, one Newton step on psi from a bracket of at least g/2 + 8 bits
+    (cached, or made the same way) lands within a unit or two of theta 2^g,
+    and lo steps by 1 until the two signs certify it: O(log g) evaluations
+    in all.
     """
 
     def __init__(self, M: int):
@@ -111,7 +130,7 @@ class _RealCyclotomic:
         d = self.d = len(self.poly) - 1
         self.zero = (0,) * d
         self.one = (1,) + (0,) * (d - 1)
-        self._bounds = {}
+        self._bounds, self._brackets = {}, {}  # {bits: bounds}, {g: lo}
 
     def _reduce(self, coeffs: list) -> tuple:
         coeffs = list(coeffs) + [0] * (self.d - len(coeffs))
@@ -146,6 +165,21 @@ class _RealCyclotomic:
             out[i] -= v * x[k]
         return tuple(out)
 
+    def step(self, r, s, row):
+        """`_Integers.step` over Z[theta]."""
+        x = r[s]
+        sign = self.sign(x)
+        if not sign:
+            return 0, r
+        out = list(r)
+        out[s] = tuple(-c for c in x)
+        for t, a in row:
+            y = list(out[t])
+            for i, k, v in a:
+                y[i] -= v * x[k]
+            out[t] = tuple(y)
+        return sign, tuple(out)
+
     def sign(self, x) -> int:
         if min(x) >= 0:
             return 1 if any(x) else 0
@@ -179,23 +213,44 @@ class _RealCyclotomic:
             self._bounds[bits] = (lo, hi)
         return self._bounds[bits]
 
+    def _psi(self, k: int, g: int, derivative: bool = False) -> int:
+        """psi(k / 2^g) 2^(g d), or psi'(k / 2^g) 2^(g (d - 1)), by Horner's
+        rule on integers."""
+        poly = self.poly
+        if derivative:
+            poly = [i * c for i, c in enumerate(poly)][1:]
+        value = 0
+        for i, c in enumerate(reversed(poly)):
+            value = value * k + (c << g * i)
+        return value
+
     def _theta_bracket(self, g: int) -> Tuple[int, int]:
         """Integers lo < theta 2^g < hi = lo + 1 (see the class docstring)."""
-        def above(k):  # k > theta 2^g, for lo <= k <= hi: psi(k / 2^g) > 0
-            value = 0  # psi(k / 2^g) 2^(g d), by Horner's rule
-            for i, c in enumerate(reversed(self.poly)):
-                value = value * k + (c << g * i)
-            return value > 0
-
-        m2 = 49 * self.M * self.M  # lo = floor((2 - (22 / 7M)^2) 2^g)
-        lo, hi = ((2 * m2 - 484) << g) // m2, 2 << g
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if above(mid):
-                hi = mid
+        if g not in self._brackets:
+            m2 = 49 * self.M * self.M
+            floor = ((2 * m2 - 484) << g) // m2  # L of the class docstring
+            if g <= 48:
+                lo, hi = floor, 2 << g
+                while hi - lo > 1:
+                    mid = (lo + hi) // 2
+                    if self._psi(mid, g) > 0:
+                        hi = mid
+                    else:
+                        lo = mid
             else:
-                lo = mid
-        return lo, hi
+                h = max((h for h in self._brackets if g // 2 + 8 <= h < g),
+                        default=g // 2 + 8)
+                x = self._theta_bracket(h)[0] << (g - h)
+                lo = max(floor, x - self._psi(x, g) // self._psi(x, g, derivative=True))
+                while True:
+                    if self._psi(lo, g) > 0:
+                        lo -= 1
+                    elif self._psi(lo + 1, g) < 0:
+                        lo += 1
+                    else:
+                        break
+            self._brackets[g] = lo
+        return self._brackets[g], self._brackets[g] + 1
 
 
 def _min_poly_2cos(M: int) -> list:
@@ -270,7 +325,7 @@ class CoxeterSystem:
         if len(set(self.labels)) != n:
             raise CoxeterError(f"labels {list(self.labels)} are not distinct")
         self.name = name
-        self._cartan = None
+        self._cartan = self._simple_frame = None
 
     def m(self, s: int, t: int) -> Optional[int]:
         return self.matrix[s][t]
@@ -344,20 +399,6 @@ class CoxeterSystem:
             self._cartan = ring, rows
         return self._cartan
 
-    def _coset_step(self, r: tuple, s: int) -> Tuple[int, tuple]:
-        """(sign of r_s, the coset vector r s): the action of s on the coset
-        of W_I\\W with coset vector r (module docstring)."""
-        ring, rows = self._cartan_rows()
-        x = r[s]
-        sign = ring.sign(x)
-        if not sign:
-            return 0, r
-        out = list(r)
-        out[s] = ring.neg(x)
-        for t, a in rows[s]:
-            out[t] = ring.submul(out[t], a, x)
-        return sign, tuple(out)
-
     def _coset_vector(self, I: Iterable[int]) -> tuple:
         """The coset vector of W_I itself."""
         ring, _ = self._cartan_rows()
@@ -367,9 +408,10 @@ class CoxeterSystem:
         """The coset vector at I = () of the element w spelled by `word`:
         r_j is the height of w(a_j), so s is a right descent of w iff
         r_s < 0."""
+        ring, rows = self._cartan_rows()
         r = self._coset_vector(())
         for s in word:
-            r = self._coset_step(r, s)[1]
+            r = ring.step(r, s, rows[s])[1]
         return r
 
     def _shortlex(self, word: Sequence[int]) -> "CoxElem":
@@ -377,11 +419,11 @@ class CoxeterSystem:
         left descent s of w, the least s with r_s < 0 on the vector r of
         w^-1, then the ShortLex word of s w, whose inverse has the vector
         r s."""
-        ring, _ = self._cartan_rows()
+        ring, rows = self._cartan_rows()
         r, nf = self._vector(reversed(word)), []
         while (s := next((s for s, x in enumerate(r) if ring.sign(x) < 0), None)) is not None:
             nf.append(s)
-            r = self._coset_step(r, s)[1]
+            r = ring.step(r, s, rows[s])[1]
         return CoxElem(self, tuple(nf))
 
     def _act(self, word: Sequence[int], v: Sequence) -> tuple:
@@ -402,10 +444,14 @@ class CoxeterSystem:
         return self._act(word, self._frame()[s])
 
     def _frame(self) -> tuple:
-        """The frame of the identity: the simple roots a_j, over themselves."""
-        ring, _ = self._cartan_rows()
-        zero = (ring.zero,) * self.rank
-        return tuple(zero[:j] + (ring.one,) + zero[j + 1:] for j in range(self.rank))
+        """The frame of the identity: the simple roots a_j, over themselves;
+        made once per system."""
+        if self._simple_frame is None:
+            ring, _ = self._cartan_rows()
+            zero = (ring.zero,) * self.rank
+            self._simple_frame = tuple(zero[:j] + (ring.one,) + zero[j + 1:]
+                                       for j in range(self.rank))
+        return self._simple_frame
 
     def _frame_step(self, frame: tuple, s: int) -> tuple:
         """The frame (ws)(a_j) of ws from the frame w(a_j) of w: (ws)(a_j) =
@@ -506,6 +552,8 @@ class CoxeterSystem:
         the walk (the coset W_I itself has index 0) and s, moves[rank k + s]
         is (sign of r_s, j) with r s the element of index j, None past
         max_length; j is k when r_s = 0."""
+        ring, rows = self._cartan_rows()
+        step = ring.step
         level, length = {self._coset_vector(I): ()}, 0
         # the index of level's first element; {coset vector: index} on level
         # and on the level below
@@ -519,8 +567,8 @@ class CoxeterSystem:
             up, words = {}, []  # {r s: its index}, the words of the next level
             top = start + len(level)
             for k, (r, word) in enumerate(level.items(), start):
-                for s in range(self.rank):
-                    sign, rs = self._coset_step(r, s)
+                for s, row in enumerate(rows):
+                    sign, rs = step(r, s, row)
                     if sign > 0:
                         if last:
                             j = None

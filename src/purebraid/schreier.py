@@ -18,18 +18,25 @@ elements (`Presentation.from_json` alone puts the bases it reads in normal
 form).  On a truncated walk, an instance is kept only when the lengths of its
 representative and of its bases fit the cap.
 
-Words over the presentation generators are tuples of (symbol, +-1) where a
-symbol is ("s", i) for a Coxeter-lift generator or ("a", base_word, i) for a
-pure generator a_{b,s}.  A pure generator is its symbol.  The rewriting, the
-closed forms, their deduplication and their order run on integer letter
-codes over the table (`CosetTable`), whose order is the order of the
-symbols; `presentation_DI` spells each distinct letter as a symbol once.
+A generator is its symbol: ("s", i) for a Coxeter lift, ("a", base_word, i)
+for a pure generator a_{b,s}.  Words are read and written as tuples of
+(symbol, +-1), but carried as tuples of integer letter codes over a list of
+generators: x^e has code 2 (index of x) + (e == -1), so code ^ 1 is the
+inverse letter.  `CosetTable` numbers the generators of D_I densely in
+symbol order, and the rewriting, the closed forms, their deduplication and
+their order run on its codes.  A `Presentation` keeps its relations as codes
+over its own generators: the certificate, the abelianization, the splitting
+and the writers read them through lists and memos made once per generator or
+distinct letter, and words of symbols are spelled only when `relations` is
+read.
 """
 
 from __future__ import annotations
 
 import heapq
 import json
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 from math import gcd
 from typing import List, Optional, Sequence, Tuple
 
@@ -44,11 +51,23 @@ from .freeword import free_reduce, word_inv
 
 Symbol = tuple
 Word = Tuple[Tuple[Symbol, int], ...]
-Codes = Tuple[int, ...]  # a word of letter codes over a `CosetTable`
+Codes = Tuple[int, ...]  # a word of letter codes: 2 (generator index) + (e == -1)
 
 
 # ---------------------------------------------------------------------------
 # symbols and words
+
+
+class _Memo(dict):
+    """{key: fn(key)}, each value computed once, on first use."""
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        self[key] = value = self.fn(key)
+        return value
 
 
 def cox_symbol(s: int) -> Symbol:
@@ -76,32 +95,10 @@ def word_key(word: Word):
     return (len(word), tuple((symbol_key(s), 0 if e == 1 else 1) for s, e in word))
 
 
-class _Memo(dict):
-    """{key: fn(key)}, each value computed once, on first use."""
-
-    def __init__(self, fn):
-        super().__init__()
-        self.fn = fn
-
-    def __missing__(self, key):
-        self[key] = value = self.fn(key)
-        return value
-
-
-class _Spelling(_Memo):
-    """{symbol: symbol_str}, each symbol spelled once, on first use."""
-
-    def __init__(self, system: CoxeterSystem):
-        super().__init__(lambda sym: symbol_str(system, sym))
-
-    def word(self, word: Word) -> str:
-        if not word:
-            return "1"
-        return " ".join(self[s] if e == 1 else self[s] + "^-1" for s, e in word)
-
-
 def word_str(system: CoxeterSystem, word: Word) -> str:
-    return _Spelling(system).word(word)
+    if not word:
+        return "1"
+    return " ".join(symbol_str(system, s) + ("" if e == 1 else "^-1") for s, e in word)
 
 
 def canonical_relator(u: Word, v: Word) -> Word:
@@ -148,33 +145,43 @@ class CosetTable:
     the root rep_k(a_s) = a_t.  An UP step past a truncated walk keeps its
     kind and has j None: `climb` and `rewrite` raise CoxeterError there.
 
-    The rewriting runs on integer letter codes.  The Coxeter lift t has id
-    t, and the pure generator a_{b,s} with b = rep_k has id rank + rank k +
-    s, rank plus the index of its transition; the letter x^e has code
-    2 id(x) + (e == -1).  The walk is in ShortLex order, so the ids are in
-    symbol_key order and the codes in (symbol_key, e) order: a word w of
-    codes has word_key order (len(w), w), and code ^ 1 is the inverse letter.
+    The generators of D_I have dense ids in symbol_key order: the lifts of
+    I (sorted) first, then one pure generator a_{b,s} per UP step b s, in
+    the order of the steps (rank k + s, the walk being in ShortLex order).
+    The letter x^e has code 2 id(x) + (e == -1), so the codes are in
+    (symbol_key, e) order, a word w of codes has word_key order (len(w), w),
+    and code ^ 1 is the inverse letter.  Each transition ends with the code
+    of the generator it stands for: a_{b,s} for an UP step b s and for the
+    DOWN step back from b s, the lift t for (CONJ, t).  An UP step makes its
+    code, and the DOWN step shares that int, so a word of closed forms holds
+    no int of its own.
     """
 
     def __init__(self, system: CoxeterSystem, I, max_length: Optional[int] = None):
         if max_length is None and not system.is_finite():
             raise CoxeterError("max_length required for an infinite system")
         self.system = system
-        self.rank = system.rank
+        self.rank = rank = system.rank
         self.I = frozenset(I)
-        self.transitions = []
-        self.reps = [CoxElem(system, w) for level in
-                     system._levels(self.I, max_length, self.transitions)
+        moves = []
+        self.reps = [CoxElem(system, w) for level in system._levels(self.I, max_length, moves)
                      for w in level.values()]
-        if self.I:
-            simple_roots = {system._root((), t): t for t in self.I}
-            for n, (kind, _) in enumerate(self.transitions):
-                if kind == CONJ:
-                    k, s = divmod(n, self.rank)
-                    self.transitions[n] = CONJ, simple_roots[system._root(self.reps[k].word, s)]
+        lifts = {t: 2 * n for n, t in enumerate(sorted(self.I))}
+        simple_roots = {system._root((), t): t for t in self.I}
+        code = 2 * len(lifts)
+        for n, (kind, j) in enumerate(moves):
+            if kind == UP:
+                moves[n] = UP, j, code
+                code += 2
+            elif kind == DOWN:  # j < k: the step up from rep_j is already coded
+                moves[n] = DOWN, j, moves[rank * j + n % rank][2]
+            else:
+                t = simple_roots[system._root(self.reps[n // rank].word, n % rank)]
+                moves[n] = CONJ, t, lifts[t]
+        self.transitions = moves
 
     def step(self, k: int, s: int) -> Tuple[int, Optional[int]]:
-        return self.transitions[k * self.rank + s]
+        return self.transitions[k * self.rank + s][:2]
 
     def _past_walk(self, k: int, s: int) -> CoxeterError:
         return CoxeterError(f"{self.reps[k]} times {self.system.labels[s]} "
@@ -185,7 +192,7 @@ class CosetTable:
         is an UP step inside the walk."""
         rank, transitions = self.rank, self.transitions
         for s in word:
-            kind, j = transitions[k * rank + s]
+            kind, j, _ = transitions[k * rank + s]
             if kind != UP:
                 raise CoxeterError(
                     f"{self.reps[k]} times {self.system.labels[s]} is not "
@@ -199,14 +206,14 @@ class CosetTable:
         """`rewrite`, emitting letter codes."""
         rank, transitions, out = self.rank, self.transitions, []
         for s, e in letters:
-            kind, j = transitions[k * rank + s]
+            kind, j, c = transitions[k * rank + s]
             if kind == CONJ:
-                out.append(2 * j + (e == -1))
+                out.append(c + (e == -1))
                 continue
             if j is None:
                 raise self._past_walk(k, s)
             if (kind == DOWN) == (e == 1):
-                out.append(2 * (rank + rank * (j if kind == DOWN else k) + s) + (e == -1))
+                out.append(c + (e == -1))
             k = j
         return out, k
 
@@ -217,24 +224,15 @@ class CosetTable:
         forwards, emits a_{b,s} with b the shorter of its two ends.  Raises
         CoxeterError when a letter leaves the walk."""
         codes, k = self._rewrite_codes(k, letters)
-        return [self.letter(c) for c in codes], k
-
-    def symbol(self, x: int) -> Symbol:
-        """The generator of id x."""
-        if x < self.rank:
-            return cox_symbol(x)
-        k, s = divmod(x - self.rank, self.rank)
-        return pure_symbol(self.reps[k], s)
-
-    def letter(self, code: int) -> Tuple[Symbol, int]:
-        """The (symbol, +-1) of a letter code."""
-        return self.symbol(code >> 1), -1 if code & 1 else 1
+        gens = [cox_symbol(t) for t in sorted(self.I)] + self.generators()
+        return [(gens[c >> 1], -1 if c & 1 else 1) for c in codes], k
 
     def generators(self) -> List[Symbol]:
         """The a_{b,s} with b walked and b s an UP step, in id order, which
         is symbol_key order; b s need not be in the walk."""
-        return [self.symbol(self.rank + n)
-                for n, (kind, _) in enumerate(self.transitions) if kind == UP]
+        rank, reps = self.rank, self.reps
+        return [pure_symbol(reps[n // rank], n % rank)
+                for n, (kind, *_) in enumerate(self.transitions) if kind == UP]
 
 
 # ---------------------------------------------------------------------------
@@ -284,12 +282,13 @@ def _a_super(table: CosetTable, b0: int, s: int, t: int, n: int) -> Codes:
         if k is None:  # the step x before left the walk
             raise table._past_walk(*divmod(x, rank))
         x = k * rank + (t if j & 1 else s)
-        kind, k = transitions[x]
+        kind, k, c = transitions[x]
         if kind != UP:
             raise CoxeterError(f"{table.reps[x // rank]} times "
                                f"{table.system.labels[x % rank]} is not an UP step")
-        codes.append(2 * (rank + x))
-    return tuple(reversed(codes))
+        codes.append(c)
+    codes.reverse()
+    return tuple(codes)
 
 
 def rewrite_braid_relation(table: CosetTable, rep: int, s: int,
@@ -331,21 +330,20 @@ def _relation_instances(table: CosetTable, levels):
     less than 0 for none.  The climbs are made once per square, and only
     when a level i >= 1 is kept.
     """
-    system, rank, transitions = table.system, table.rank, table.transitions
+    matrix, rank, transitions = table.system.matrix, table.rank, table.transitions
     for b0 in range(len(table.reps)):
-        for s in range(rank):
-            s_kind, sp = transitions[b0 * rank + s]
+        steps = transitions[b0 * rank:(b0 + 1) * rank]
+        for s, (s_kind, _, sc) in enumerate(steps):
             if s_kind == DOWN:
                 continue
             for t in range(s + 1, rank):
-                m = system.m(s, t)
-                t_kind, tp = transitions[b0 * rank + t]
+                m = matrix[s][t]
+                t_kind, _, tc = steps[t]
                 if m is None or t_kind == DOWN:
                     continue
                 if s_kind == t_kind == CONJ:
                     if levels(b0, m, 0) >= 0:
-                        yield b0, s, t, 0, _ordered(tuple(2 * x for x in _alt(sp, tp, m)),
-                                                    tuple(2 * x for x in _alt(tp, sp, m)))
+                        yield b0, s, t, 0, _ordered(_alt(sc, tc, m), _alt(tc, sc, m))
                     continue
                 n = levels(b0, m, m if s_kind == t_kind else m - 1)
                 if n < 0:
@@ -359,7 +357,7 @@ def _relation_instances(table: CosetTable, levels):
                         if i < m:
                             yield b0, s, t, i, _ordered(B[:i], A[m - i:])
                     continue
-                x, y, c = (s, t, 2 * tp) if s_kind == UP else (t, s, 2 * sp)
+                x, y, c = (s, t, tc) if s_kind == UP else (t, s, sc)
                 if n:
                     a = _a_super(table, b0, x, y, m - 1)
                 for i in range(1, n + 1):
@@ -392,21 +390,73 @@ def _write_list(write, items, encode) -> None:
     write("\n  ]")
 
 
+class _Names:
+    """The spelling of the letters of a presentation: each distinct base
+    word, generator and letter code spelled once, on first use."""
+
+    def __init__(self, p: "Presentation"):
+        system, gens = p.system, p.generators
+        self.base = _Memo(system.word_str)  # "" for the identity
+
+        def name(x):
+            sym = gens[x]
+            if sym[0] == "s":
+                return system.labels[sym[1]]
+            return f"a[{self.base[sym[1]] or 'e'};{system.labels[sym[2]]}]"
+
+        self.name = _Memo(name)
+        self.letter = _Memo(lambda c: self.name[c >> 1] + "^-1" if c & 1 else self.name[c >> 1])
+
+    def word(self, w: Codes) -> str:
+        return " ".join(map(self.letter.__getitem__, w)) if w else "1"
+
+
 class Presentation:
-    """Generators (Coxeter lifts of I plus pure generators) and relations."""
+    """Generators (Coxeter lifts of I plus pure generators) and relations.
+
+    The relations are kept as `codes`: pairs of words of letter codes over
+    `generators`, x^e having code 2 (index of x) + (e == -1).  The
+    constructor encodes words of (symbol, +-1), raising CoxeterError on an
+    undeclared symbol; with codes=True it takes code pairs as they are,
+    raising CoxeterError on a code outside 0 .. 2 len(generators) - 1.
+    `relations` spells the codes back as words of (symbol, +-1) on first
+    use and keeps them.
+    """
 
     def __init__(self, system: CoxeterSystem, I, generators: Sequence[Symbol],
-                 relations: Sequence[Tuple[Word, Word]], partial: bool = False):
+                 relations: Sequence[Tuple[Word, Word]], partial: bool = False,
+                 *, codes: bool = False):
         self.system = system
         self.I = tuple(sorted(set(I)))
         self.generators = tuple(generators)
-        declared = set(self.generators)
-        for u, v in relations:
-            for sym, _ in tuple(u) + tuple(v):
-                if sym not in declared:
-                    raise CoxeterError(f"undeclared symbol {sym}")
-        self.relations = tuple(relations)
         self.partial = partial
+        self._relations = None
+        if codes:
+            self.codes = tuple(relations)
+            bound = 2 * len(self.generators)
+            if min(self._letters(), default=0) < 0 or max(self._letters(), default=0) >= bound:
+                raise CoxeterError(f"a letter code lies outside 0 .. {bound - 1}")
+            return
+        index = {g: 2 * k for k, g in enumerate(self.generators)}
+
+        def encode(word):
+            try:
+                return tuple(index[sym] + (e == -1) for sym, e in word)
+            except KeyError as exc:
+                raise CoxeterError(f"undeclared symbol {exc.args[0]}") from None
+
+        self.codes = tuple((encode(u), encode(v)) for u, v in relations)
+
+    def _letters(self):
+        return chain.from_iterable(chain.from_iterable(self.codes))
+
+    @property
+    def relations(self) -> Tuple[Tuple[Word, Word], ...]:
+        if self._relations is None:
+            letter = [(g, e) for g in self.generators for e in (1, -1)].__getitem__
+            self._relations = tuple((tuple(map(letter, u)), tuple(map(letter, v)))
+                                    for u, v in self.codes)
+        return self._relations
 
     def pure_generators(self):
         return [g for g in self.generators if g[0] == "a"]
@@ -414,11 +464,11 @@ class Presentation:
     def write_text(self, write) -> None:
         """Write "< generators | relations >" and a newline through `write`,
         one call per `_CHUNK` generators or relations."""
-        names = _Spelling(self.system)
+        names = _Names(self)
         write("< ")
-        _write_joined(write, self.generators, names.__getitem__, ", ")
+        _write_joined(write, range(len(self.generators)), names.name.__getitem__, ", ")
         write(" | ")
-        _write_joined(write, self.relations,
+        _write_joined(write, self.codes,
                       lambda rel: f"{names.word(rel[0])} = {names.word(rel[1])}", ", ")
         write(" >\n")
 
@@ -433,21 +483,22 @@ class Presentation:
         through `write`, one call per `_CHUNK` generators or relations, so no
         string holds the whole document.
 
-        The document is put together from fixed templates.  Labels, names
-        and bases go through json.dumps, so they are escaped as there, and
-        each distinct letter is spelled once into its [name, e] block.
+        The document is put together from fixed templates.  Strings go
+        through `encode_basestring_ascii`, the encoder json.dumps uses for
+        them, and each distinct base and letter is spelled once.
         """
-        system, dumps = self.system, json.dumps
-        label = [dumps(x) for x in system.labels]
-        names = _Spelling(system)
-        block = _Memo(lambda letter: "\n        [\n          %s,\n          %d\n        ]"
-                      % (dumps(names[letter[0]]), letter[1])).__getitem__
+        system, enc = self.system, encode_basestring_ascii
+        label = [enc(x) for x in system.labels]
+        names = _Names(self)
+        base = _Memo(lambda w: enc(names.base[w]))
+        block = _Memo(lambda c: "\n        [\n          %s,\n          %d\n        ]"
+                      % (enc(names.name[c >> 1]), -1 if c & 1 else 1)).__getitem__
 
         def generator(sym):
             if sym[0] == "s":
                 return '\n    {\n      "gen": %s,\n      "tag": "cox"\n    }' % label[sym[1]]
             return ('\n    {\n      "base": %s,\n      "gen": %s,\n      "tag": "pure"\n    }'
-                    % (dumps(system.word_str(sym[1])), label[sym[2]]))
+                    % (base[sym[1]], label[sym[2]]))
 
         def word(w):
             return "[" + ",".join(map(block, w)) + "\n      ]" if w else "[]"
@@ -459,27 +510,27 @@ class Presentation:
         _write_list(write, self.I, lambda i: "\n    " + label[i])
         write(',\n  "generators": ')
         _write_list(write, self.generators, generator)
-        write(',\n  "partial": %s,\n  "relations": ' % dumps(self.partial))
-        _write_list(write, self.relations, relation)
-        write(',\n  "system": %s\n}\n' % dumps(system.name or f"rank{system.rank}"))
+        write(',\n  "partial": %s,\n  "relations": ' % json.dumps(self.partial))
+        _write_list(write, self.codes, relation)
+        write(',\n  "system": %s\n}\n' % enc(system.name or f"rank{system.rank}"))
 
     def to_json(self) -> dict:
+        names = _Names(self)
+
         def enc_sym(sym):
             if sym[0] == "s":
                 return {"tag": "cox", "gen": self.system.labels[sym[1]]}
-            return {"tag": "pure", "base": self.system.word_str(sym[1]),
+            return {"tag": "pure", "base": names.base[sym[1]],
                     "gen": self.system.labels[sym[2]]}
 
-        names = _Spelling(self.system)
-
         def enc_word(word):
-            return [[names[s], e] for s, e in word]
+            return [[names.name[c >> 1], -1 if c & 1 else 1] for c in word]
 
         return {
             "system": self.system.name or f"rank{self.system.rank}",
             "I": [self.system.labels[i] for i in self.I],
             "generators": [enc_sym(g) for g in self.generators],
-            "relations": [[enc_word(u), enc_word(v)] for u, v in self.relations],
+            "relations": [[enc_word(u), enc_word(v)] for u, v in self.codes],
             "partial": self.partial,
         }
 
@@ -529,15 +580,19 @@ def presentation_DI(system: CoxeterSystem, I, max_length: Optional[int] = None,
         partial = partial or kept < top
         return kept
 
-    relations = {rel for *_, rel in _relation_instances(table, levels) if rel is not None}
-    # codes sort as their letters by word_key; each distinct one is spelled
-    # once, and the relations are spelled in place
-    relations = sorted(relations, key=lambda r: (len(r[0]), r[0], len(r[1]), r[1]))
-    letters = {c: table.letter(c) for c in {c for u, v in relations for c in u + v}}
-    for n, (u, v) in enumerate(relations):
-        relations[n] = tuple(map(letters.__getitem__, u)), tuple(map(letters.__getitem__, v))
+    # the table's codes are over the generators below, in symbol order, so
+    # word_key order is (len(u), u, len(v), v): by the lengths, then as
+    # pairs.  The relations are kept in the order they are made, which is
+    # close to that order already and walks memory in order.
+    by_lengths = {}
+    for rel in dict.fromkeys(rel for *_, rel in _relation_instances(table, levels)
+                             if rel is not None):
+        by_lengths.setdefault((len(rel[0]), len(rel[1])), []).append(rel)
+    codes = []
+    for lengths in sorted(by_lengths):
+        codes += sorted(by_lengths.pop(lengths))
     gens = [cox_symbol(i) for i in I] + table.generators()
-    return Presentation(system, I, gens, relations, partial=partial)
+    return Presentation(system, I, gens, codes, partial=partial, codes=True)
 
 
 def presentation_pure(system: CoxeterSystem,
@@ -586,26 +641,28 @@ def soundness_report(p: Presentation) -> dict:
     2 [b(a_s)] by s^2 = 1 in W and N(b) + b N(b^-1) = N(1) = 0.  As (N, p)
     is a homomorphism, this is the fold of the relator expanded into braid
     letters, without expanding it.  b(a_s) is column s of the frame of b
-    (`CoxeterSystem._frames`).
+    (`CoxeterSystem._frames`).  The root of each generator that occurs, and
+    the image of each letter code, are made once.
 
     The kernel of (N, p) is the derived subgroup D(P_W), so a pass shows
     that each relation holds in B_W / D(P_W), not that it holds in B_W; the
     result says so under "certificate".
     """
-    system = p.system
-    frames = system._frames(sym[1] for sym in p.pure_generators())
-    roots = {sym: system._positive(frames[sym[1]][sym[2]]) for sym in p.pure_generators()}
+    system, gens = p.system, p.generators
+    pure = [x for x in {c >> 1 for c in p._letters()} if gens[x][0] == "a"]
+    simple, frames = system._frame(), system._frames(gens[x][1] for x in pure)
+    root = {x: system._positive(frames[gens[x][1]][gens[x][2]]) for x in pure}
 
-    def image(letter: Tuple[Symbol, int]) -> tuple:
-        sym, e = letter
+    def image(c: int) -> tuple:
+        sym, e = gens[c >> 1], -1 if c & 1 else 1
         if sym[0] == "s":
-            return {frames[()][sym[1]]: e}, (sym[1],)
-        return {roots[sym]: 2 * e}, ()
+            return {simple[sym[1]]: e}, (sym[1],)
+        return {root[c >> 1]: 2 * e}, ()
 
-    unit, names = ({}, frames[()]), _Spelling(system)
-    failures = [(names.word(u), names.word(v)) for u, v in p.relations
-                if system._fold_Np(map(image, u + word_inv(v))) != unit]
-    return {"checked": len(p.relations), "failures": failures,
+    image, unit, names = _Memo(image).__getitem__, ({}, simple), _Names(p)
+    failures = [(names.word(u), names.word(v)) for u, v in p.codes
+                if system._fold_Np(map(image, u + tuple(c ^ 1 for c in reversed(v)))) != unit]
+    return {"checked": len(p.codes), "failures": failures,
             "passed": not failures, "certificate": "mod D(P_W)"}
 
 
@@ -632,9 +689,9 @@ def abelianization(p: Presentation) -> dict:
     row, modulo the pivot; a pivot left alone is a diagonal entry.  The
     entries other than 1 become a divisibility chain by gcd and lcm of each
     pair.  The free rank counts the roots that no diagonal entry takes.
+    The columns are the generator indices of the letter codes.
     """
-    index = {g: k for k, g in enumerate(p.generators)}
-    root, sign = list(range(len(index))), [1] * len(index)
+    root, sign = list(range(len(p.generators))), [1] * len(p.generators)
 
     def find(k):
         # (root r, sign e) with k = e r, every step of the path pointed at r
@@ -649,25 +706,30 @@ def abelianization(p: Presentation) -> dict:
         return k, e
 
     doubled = set()  # the r with 2 r = 0, r a root when it was found
-    for u, v in p.relations:
+    for u, v in p.codes:
         if len(u) == len(v) == 1:
-            (x, e), (y, f) = u[0], v[0]
-            (rx, ex), (ry, ey) = find(index[x]), find(index[y])
-            # e x = f y reads e ex rx = f ey ry
+            (rx, ex), (ry, ey) = find(u[0] >> 1), find(v[0] >> 1)
+            # x^e = y^f reads e ex rx = f ey ry
+            ex, ey = -ex if u[0] & 1 else ex, -ey if v[0] & 1 else ey
             if rx != ry:
-                root[rx], sign[rx] = ry, e * ex * f * ey
-            elif e * ex != f * ey:
+                root[rx], sign[rx] = ry, ex * ey
+            elif ex != ey:
                 doubled.add(rx)
-    column = [find(k) for k in range(len(root))]
-    rows = {((column[r][0], 2),) for r in doubled}
-    for u, v in p.relations:
+    column = []  # at code c of x^e: the root r of x and e er, x^e = e er r
+    for k in range(len(root)):
+        r, er = find(k)
+        column += (r, er), (r, -er)
+    rows = {((column[2 * r][0], 2),) for r in doubled}
+    for u, v in p.codes:
         if len(u) == len(v) == 1:
             continue
         row = {}
-        for side, side_sign in ((u, 1), (v, -1)):
-            for sym, e in side:
-                r, er = column[index[sym]]
-                row[r] = row.get(r, 0) + side_sign * e * er
+        for c in u:
+            r, x = column[c]
+            row[r] = row.get(r, 0) + x
+        for c in v:
+            r, x = column[c]
+            row[r] = row.get(r, 0) - x
         row = sorted((r, x) for r, x in row.items() if x)
         if row and row[0][1] < 0:
             row = [(r, -x) for r, x in row]
@@ -760,43 +822,40 @@ def _invariant_factors(rows: List[dict]) -> List[int]:
 # semidirect splitting D_I = U_I x| B_I
 
 
-def retraction_h(word: Word) -> Word:
-    """h: D_I -> B_{W_I}: kills pure generators, fixes I."""
-    return free_reduce((sym, e) for sym, e in word if sym[0] == "s")
-
-
-def _equal_I_words(system: CoxeterSystem, u: Word, v: Word) -> bool:
-    """Equality in B_{W_I} for retraction images: syntactic equality or a
-    defining braid relation (the only cases the relations produce)."""
-    u, v = free_reduce(u), free_reduce(v)
+def _equal_I_words(system: CoxeterSystem, lift: list, u: Codes, v: Codes) -> bool:
+    """Equality in B_{W_I} for freely reduced retraction images, lift[x]
+    being the s of the lift generator x: syntactic equality or a defining
+    braid relation (the only cases the relations produce)."""
     if u == v:
         return True
-    if len(u) != len(v) or not u:
+    if len(u) != len(v) or not u or any(c & 1 for c in u + v):
         return False
-    if any(e != 1 for _, e in u + v):
-        return False
-    a, b = u[0][0][1], v[0][0][1]
+    a, b = lift[u[0] >> 1], lift[v[0] >> 1]
     m = system.m(a, b)
-    if m != len(u):
-        return False
-    return (u == tuple((cox_symbol(x), 1) for x in _alt(a, b, m))
-            and v == tuple((cox_symbol(x), 1) for x in _alt(b, a, m)))
+    return (m == len(u) and tuple(lift[c >> 1] for c in u) == _alt(a, b, m)
+            and tuple(lift[c >> 1] for c in v) == _alt(b, a, m))
 
 
 def semidirect_split(system: CoxeterSystem, I,
                      max_length: Optional[int] = None) -> dict:
-    """Report for D_I = U_I x| B_I: h o j = id and relations survive h."""
+    """Report for D_I = U_I x| B_I: h o j = id and relations survive h, the
+    retraction h: D_I -> B_{W_I} that kills the pure generators and fixes
+    the lifts of I."""
     I = tuple(sorted(set(I)))
     p = presentation_DI(system, I, max_length=max_length)
-    names = _Spelling(system)
-    failures = [(names.word(u), names.word(v)) for u, v in p.relations
-                if not _equal_I_words(system, retraction_h(u), retraction_h(v))]
-    # h o j = identity: each generator of B_{W_I} maps to itself
-    hj_ok = all(retraction_h(((cox_symbol(i), 1),)) == ((cox_symbol(i), 1),)
-                for i in I)
+    lift = [g[1] if g[0] == "s" else None for g in p.generators]
+
+    def h(word: Codes) -> Codes:
+        return _free_reduce_codes([c for c in word if lift[c >> 1] is not None])
+
+    names = _Names(p)
+    failures = [(names.word(u), names.word(v)) for u, v in p.codes
+                if not _equal_I_words(system, lift, h(u), h(v))]
+    # h o j = identity: the lift of each i in I is a generator that h fixes
+    hj_ok = all(lift[x] == i for x, i in enumerate(I))
     return {
         "I": [system.labels[i] for i in I],
-        "normal_generators": [names[g] for g in p.pure_generators()],
+        "normal_generators": [names.name[x] for x, g in enumerate(lift) if g is None],
         "retraction_ok": hj_ok,
         "relations_preserved": not failures,
         "failures": failures,

@@ -320,6 +320,27 @@ def test_theta_bracket_against_high_precision(M):
             assert mpmath.mpf(lo) < scaled < mpmath.mpf(hi), (M, g)
 
 
+@pytest.mark.parametrize("M", [4, 5, 12, 35, 60])
+def test_theta_bracket_takes_logarithmically_many_evaluations(M, monkeypatch):
+    # a Newton step from the bracket of half the precision, certified by the
+    # signs of psi at lo and lo + 1, takes a few evaluations of psi per
+    # doubling: O(log g) in all, where a bisection takes about g of them
+    calls = []
+    psi = _RealCyclotomic._psi
+    monkeypatch.setattr(_RealCyclotomic, "_psi",
+                        lambda self, *args, **kw: calls.append(args) or psi(self, *args, **kw))
+    for bits in (64, 256, 1024, 4096):
+        ring = _RealCyclotomic(M)
+        calls.clear()
+        ring._power_bounds(bits)
+        g = max(ring._brackets)
+        assert g > bits and len(calls) <= 8 * math.log2(g), (bits, len(calls))
+        # twice the bits start from the cached bracket: one Newton step
+        calls.clear()
+        ring._power_bounds(2 * bits)
+        assert len(calls) <= 8, (bits, len(calls))
+
+
 def _check_ring_against_high_precision(mpmath, M):
     # a nonzero element with coefficients in [-5, 5] has a norm that is a
     # nonzero integer, and each of its d - 1 other conjugates is below

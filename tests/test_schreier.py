@@ -33,12 +33,14 @@ from purebraid.coxeter import (
     CoxElem,
     CoxeterError,
     CoxeterSystem,
+    _alt,
     coset_rep,
     is_I_reduced,
     named_system,
     reflections,
     system_from_json,
 )
+from purebraid.freeword import free_reduce
 from purebraid.nmap import SemidirectElem, ZTVector, eval_Np, nbar
 from purebraid.schreier import (
     CONJ,
@@ -249,15 +251,16 @@ def test_schreier_kernel_call_budget(name, monkeypatch):
     ("D4", (), None), ("D4", (0,), None), ("H3", (), None), ("H3", (0, 1), None),
     ("5-5-5", (), 6), ("5-5-5", (0,), 6)])
 def test_coset_table_takes_one_step_per_transition(name, I, max_length, monkeypatch):
-    # the walk records each transition as it steps: one coset step per
-    # (representative, s), the last level of a truncated walk included, and
-    # none after the walk, whatever is built on the table
+    # the walk records each transition as it steps: one coset step of the
+    # ring per (representative, s), the last level of a truncated walk
+    # included, and none after the walk, whatever is built on the table
     system = system_from_json(TRIANGLE_555) if name == "5-5-5" else named_system(name)
     expected = len(CosetTable(system, I, max_length).reps) * system.rank
     calls = []
-    coset_step = CoxeterSystem._coset_step
-    monkeypatch.setattr(CoxeterSystem, "_coset_step",
-                        lambda self, r, s: calls.append((r, s)) or coset_step(self, r, s))
+    ring, _ = system._cartan_rows()
+    step = ring.step
+    monkeypatch.setattr(ring, "step",
+                        lambda r, s, row: calls.append((r, s)) or step(r, s, row))
     for run in (CosetTable, presentation_DI, crosscheck_closed_vs_raw):
         calls.clear()
         run(system, I, max_length)
@@ -516,6 +519,88 @@ def test_soundness_agrees_with_the_expanded_images_on_random_pairs(name):
 def test_semidirect_split(name, I):
     report = semidirect_split(named_system(name), I)
     assert report["passed"]
+
+
+def _code_built(p):
+    """p handed over as its letter codes, as presentation_DI hands its own."""
+    return Presentation(p.system, p.I, p.generators, p.codes, p.partial, codes=True)
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "H3", "I2(5)", "Atilde2"])
+def test_certificate_and_abelianization_agree_between_the_two_builds(name):
+    rng = random.Random(f"two-builds-{name}")
+    for p in _presentations_of(name):
+        q = _random_relations(p, rng, 30)
+        r = _code_built(q)
+        assert r.codes == q.codes and r.relations == q.relations
+        assert soundness_report(r) == soundness_report(q) == _expanded_report(q)
+        assert abelianization(r) == abelianization(q)
+
+
+def _split_failures(p):
+    """The failures semidirect_split reports on p, read over words of
+    symbols: the retraction keeps the lift letters, freely reduced, and two
+    images agree when equal or when they are the sides of a braid relation."""
+    system = p.system
+
+    def h(word):
+        return free_reduce((sym, e) for sym, e in word if sym[0] == "s")
+
+    def alternating(a, b, m):
+        return tuple((("s", x), 1) for x in _alt(a, b, m))
+
+    failures = []
+    for u, v in p.relations:
+        hu, hv = h(u), h(v)
+        if hu and len(hu) == len(hv):
+            a, b = hu[0][0][1], hv[0][0][1]
+            m = system.m(a, b)
+            if m == len(hu) and (hu, hv) == (alternating(a, b, m), alternating(b, a, m)):
+                continue
+        if hu != hv:
+            failures.append((word_str(system, u), word_str(system, v)))
+    return failures
+
+
+@pytest.mark.parametrize("name,I", [
+    ("A3", (0, 1)), ("B3", (0, 1)), ("H3", (1, 2)), ("D4", (0, 1, 2)),
+])
+def test_semidirect_split_agrees_between_the_two_builds(name, I, monkeypatch):
+    # seeded relations over the generators of D_I: relations of D_I, braid
+    # relations of I with pure letters put in (both hold after the
+    # retraction), the same with one lift inverted, and random words
+    system = named_system(name)
+    rng = random.Random(f"split-{name}")
+    p = presentation_DI(system, I)
+    pure = p.pure_generators()
+
+    def sprinkle(word):
+        out = []
+        for letter in word:
+            out += [(rng.choice(pure), rng.choice((1, -1))) for _ in range(rng.randrange(2))]
+            out.append(letter)
+        return tuple(out)
+
+    pairs = rng.sample(p.relations, min(10, len(p.relations)))
+    for _ in range(30):
+        s, t = rng.sample(I, 2)
+        m = system.m(s, t)
+        u, v = (tuple((("s", x), 1) for x in _alt(a, b, m)) for a, b in ((s, t), (t, s)))
+        kind = rng.choice(("braid", "inverted", "random"))
+        if kind == "inverted":
+            v = ((v[0][0], -1),) + v[1:]
+        elif kind == "random":
+            u, v = (tuple((rng.choice(p.generators), rng.choice((1, -1)))
+                          for _ in range(rng.randrange(4))) for _ in "uv")
+        pairs.append((sprinkle(u), sprinkle(v)))
+    q = Presentation(system, I, p.generators, pairs)
+    expected = _split_failures(q)
+    assert 0 < len(expected) < len(pairs)
+    reports = []
+    for built in (q, _code_built(q)):
+        monkeypatch.setattr(schreier, "presentation_DI", lambda *args, **kw: built)
+        reports.append(semidirect_split(system, I))
+    assert reports[0] == reports[1] and reports[0]["failures"] == expected
 
 
 def test_abelianization_of_pure_presentations():
@@ -833,6 +918,32 @@ def test_presentation_rejects_undeclared_symbols():
     sym = ("a", (), 0)
     with pytest.raises(CoxeterError):
         Presentation(system, (), [], [(((sym, 1),), ())])
+
+
+def test_presentation_rejects_codes_outside_its_generators():
+    # codes index the generator list, so the range check is the whole
+    # undeclared-symbol check of a presentation handed over as codes
+    system = named_system("A2")
+    gens = [("a", (), 0), ("a", (), 1)]
+    p = Presentation(system, (), gens, [((0, 3), (2,))], codes=True)
+    assert p.relations == ((((gens[0], 1), (gens[1], -1)), ((gens[1], 1),)),)
+    for code in (4, -1):
+        with pytest.raises(CoxeterError, match="outside"):
+            Presentation(system, (), gens, [((0,), ()), ((), (code,))], codes=True)
+
+
+def test_traced_benchmark_counts_the_relations_of_every_presentation():
+    # the benchmark's tracer adds len(p.relations) of each Presentation made
+    # in a traced round; on seed 1 that is the 4 798 relations the round
+    # built when presentations held words of symbols
+    root = Path(__file__).resolve().parent.parent
+    done = subprocess.run([sys.executable, str(root / "perfbench" / "child.py"),
+                           "--workload", "presentations", "--seed", "1", "--seconds", "1",
+                           "--trace-rounds", "--trace"],
+                          cwd=root, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result["failed"] == 0 and result["layers"]["schreier.relations"] == 4798
 
 
 def test_partial_presentation_flagged_for_affine():

@@ -134,6 +134,22 @@ def test_writers_give_the_indented_json_and_the_text_line(name):
             _check_writers(thunk(), key)
 
 
+@pytest.mark.parametrize("name", FINITE + INFINITE)
+def test_presentations_rebuilt_from_symbol_words_are_the_same(name):
+    # presentation_DI hands its letter codes over as they are; the same
+    # presentation encoded from its words of symbols must carry the same
+    # codes and write the same bytes
+    for key, thunk in _cases(name):
+        if key.startswith("crosscheck"):
+            continue
+        p = thunk()
+        q = Presentation(p.system, p.I, p.generators, p.relations, p.partial)
+        assert q.codes == p.codes and q.relations == p.relations, key
+        assert q.to_json() == p.to_json(), key
+        assert _written(q.write_json) == _written(p.write_json), key
+        assert _written(q.write_text) == _written(p.write_text), key
+
+
 def test_writers_on_edge_presentations():
     # I = S of the finite types is among the cases above
     a1, affine = named_system("A1"), named_system("Atilde2")
