@@ -16,18 +16,20 @@ is bracketed by bisection on the sign of its minimal polynomial.
 
 At I = () the vector of w is the heights of the roots w(a_j), and s is a
 right descent of w iff r_s < 0.  `CoxElem` products, inverses, normal forms
-and descent sets all step this vector: the ShortLex word of w peels the least
-left descent off the vector of w^-1 (`CoxeterSystem._shortlex`), with one
-vector step per letter read and per letter peeled.  This holds for every
-Coxeter system, infinite bonds and non-crystallographic types included.
-The walk of the I-reduced elements W^I (`enumerate_elements`) is also the
-coset table of `schreier`, for any I: asked to, it records each step it
-takes (`_levels`).  The same walk reads the positive roots w(a_s), and with
-them the reflections (`reflections`), off the frame of w: the roots w(a_j),
-which determine w, the representation being faithful.  (N, p): B_W -> ZT x|
-W is folded over roots and frames alone, in one place
-(`CoxeterSystem._fold_Np`), for `nmap` and for the certificate of
-`schreier`.
+and descent sets all act on this vector in place, in one call of the ring
+each: `walk` applies the letters of a word to one copy of the identity's
+vector, and `peel` takes the least left descent off the vector of w^-1 until
+none is left, which spells the ShortLex word of w (`CoxeterSystem._shortlex`,
+one walk and one peel).  This holds for every Coxeter system, infinite bonds
+and non-crystallographic types included.  The walk of the I-reduced elements
+W^I (`enumerate_elements`) is also the coset table of `schreier`, for any I:
+asked to, it records each step it takes (`_levels`); it keys its levels by
+the vectors r s, so it takes them one letter at a time, each a new tuple
+(`step`).  The same walk reads the positive roots w(a_s), and with them the
+reflections (`reflections`), off the frame of w: the roots w(a_j), which
+determine w, the representation being faithful.  (N, p): B_W -> ZT x| W is
+folded over roots and frames alone, in one place (`CoxeterSystem._fold_Np`),
+for `nmap` and for the certificate of `schreier`.
 
 Finiteness is decided exactly from the Coxeter graph by the classification
 of the finite Coxeter groups (Coxeter 1935; Humphreys, Reflection Groups and
@@ -92,6 +94,36 @@ class _Integers:
         for t, a in row:
             out[t] -= a * x
         return (1 if x > 0 else -1), tuple(out)
+
+    @staticmethod
+    def walk(r, word, rows):
+        """The coset vector r w as a list, w spelled by `word`: one copy of
+        r, then each letter s applied to it in place (r_s = 0 leaves it
+        unchanged)."""
+        r = list(r)
+        for s in word:
+            x = r[s]
+            r[s] = -x
+            for t, a in rows[s]:
+                r[t] -= a * x
+        return r
+
+    @staticmethod
+    def peel(r, rows):
+        """The letters peeled off the list r in place, the least s with
+        r_s < 0 first, until no entry is negative (see the module
+        docstring)."""
+        letters = []
+        while True:
+            for s, x in enumerate(r):
+                if x < 0:
+                    break
+            else:
+                return letters
+            letters.append(s)
+            r[s] = -x
+            for t, a in rows[s]:
+                r[t] -= a * x
 
 
 # (A[s][t], A[t][s]) for s < t: the integral Cartan split of a bond
@@ -179,6 +211,38 @@ class _RealCyclotomic:
                 y[i] -= v * x[k]
             out[t] = tuple(y)
         return sign, tuple(out)
+
+    @staticmethod
+    def walk(r, word, rows):
+        """`_Integers.walk` over Z[theta], each entry a list of its
+        coordinates."""
+        r = [list(x) for x in r]
+        for s in word:
+            x = r[s]
+            r[s] = [-c for c in x]
+            for t, a in rows[s]:
+                y = r[t]
+                for i, k, v in a:
+                    y[i] -= v * x[k]
+        return r
+
+    def peel(self, r, rows):
+        """`_Integers.peel` over Z[theta]: the sign of an entry is taken
+        again only when a letter changes it."""
+        sign = self.sign
+        signs = [sign(x) for x in r]
+        letters = []
+        while -1 in signs:
+            s = signs.index(-1)
+            letters.append(s)
+            x = r[s]
+            r[s], signs[s] = [-c for c in x], 1
+            for t, a in rows[s]:
+                y = r[t]
+                for i, k, v in a:
+                    y[i] -= v * x[k]
+                signs[t] = sign(y)
+        return letters
 
     def sign(self, x) -> int:
         if min(x) >= 0:
@@ -325,7 +389,7 @@ class CoxeterSystem:
         if len(set(self.labels)) != n:
             raise CoxeterError(f"labels {list(self.labels)} are not distinct")
         self.name = name
-        self._cartan = self._simple_frame = None
+        self._cartan = self._simple_frame = self._identity_vector = None
 
     def m(self, s: int, t: int) -> Optional[int]:
         return self.matrix[s][t]
@@ -400,31 +464,31 @@ class CoxeterSystem:
         return self._cartan
 
     def _coset_vector(self, I: Iterable[int]) -> tuple:
-        """The coset vector of W_I itself."""
-        ring, _ = self._cartan_rows()
-        return tuple(ring.zero if j in I else ring.one for j in range(self.rank))
+        """The coset vector of W_I itself; that of the identity (I empty)
+        is made once per system."""
+        if I:
+            ring, _ = self._cartan_rows()
+            return tuple(ring.zero if j in I else ring.one for j in range(self.rank))
+        if self._identity_vector is None:
+            ring, _ = self._cartan_rows()
+            self._identity_vector = (ring.one,) * self.rank
+        return self._identity_vector
 
-    def _vector(self, word: Iterable[int]) -> tuple:
-        """The coset vector at I = () of the element w spelled by `word`:
-        r_j is the height of w(a_j), so s is a right descent of w iff
-        r_s < 0."""
+    def _vector(self, word: Iterable[int]) -> list:
+        """The coset vector at I = () of the element w spelled by `word`, as
+        a list, walked in one ring call: r_j is the height of w(a_j), so s
+        is a right descent of w iff r_s < 0."""
         ring, rows = self._cartan_rows()
-        r = self._coset_vector(())
-        for s in word:
-            r = ring.step(r, s, rows[s])[1]
-        return r
+        return ring.walk(self._coset_vector(()), word, rows)
 
     def _shortlex(self, word: Sequence[int]) -> "CoxElem":
-        """The element spelled by `word`, with its ShortLex word: the least
-        left descent s of w, the least s with r_s < 0 on the vector r of
-        w^-1, then the ShortLex word of s w, whose inverse has the vector
-        r s."""
+        """The element spelled by `word`, with its ShortLex word, in one
+        walk and one peel: the least left descent s of w, the least s with
+        r_s < 0 on the vector r of w^-1, then the ShortLex word of s w,
+        whose inverse has the vector r s."""
         ring, rows = self._cartan_rows()
-        r, nf = self._vector(reversed(word)), []
-        while (s := next((s for s, x in enumerate(r) if ring.sign(x) < 0), None)) is not None:
-            nf.append(s)
-            r = ring.step(r, s, rows[s])[1]
-        return CoxElem(self, tuple(nf))
+        r = ring.walk(self._coset_vector(()), reversed(word), rows)
+        return CoxElem(self, tuple(ring.peel(r, rows)))
 
     def _act(self, word: Sequence[int], v: Sequence) -> tuple:
         """w(v), w spelled by `word` and v over the simple roots: one simple

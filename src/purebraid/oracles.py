@@ -190,7 +190,7 @@ class MatrixOracle:
         for m in bonds:
             if m not in _CARTAN_PRODUCT:
                 raise CoxeterError(f"matrix oracle needs bond orders in {{2,3,4,5,6}}, got {m}")
-        ring = GoldenInt if 5 in bonds else int
+        ring = GoldenInt._of if 5 in bonds else int  # _of keeps a GoldenInt flat
         cartan = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
         for i in range(n):
             for j in range(n):

@@ -683,10 +683,14 @@ def abelianization(p: Presentation) -> dict:
     to another or to its negative is dropped.
 
     Then one sparse integer elimination (Havas-Holt-Rees) on exact integers.
-    The pivot is an entry of least absolute value, then of least Markowitz
-    cost (row nonzeros - 1) * (column nonzeros - 1); +-1 entries come from a
-    lazy heap.  Row operations reduce its column, then column operations its
-    row, modulo the pivot; a pivot left alone is a diagonal entry.  The
+    The pivot is a +-1 entry, taken from a lazy heap, of least Markowitz
+    cost (row nonzeros - 1) * (column nonzeros - 1).  Row operations reduce
+    its column, then column operations its row, modulo the pivot; a pivot
+    left alone is a diagonal entry.  With no +-1 entry left, a round that
+    left remainders goes on with the least entry, then least cost, of its
+    pivot's row and column other than the pivot: that is where the
+    remainders lie, each less than the pivot.  After a split it takes an
+    entry of least absolute value in the matrix, then of least cost.  The
     entries other than 1 become a divisibility chain by gcd and lcm of each
     pair.  The free rank counts the roots that no diagonal entry takes.
     The columns are the generator indices of the letter codes.
@@ -768,12 +772,19 @@ def _invariant_factors(rows: List[dict]) -> List[int]:
                 heapq.heappush(heap, (cost(r, c), r, c))
                 continue
             return r, c
-        # no unit entry left: least absolute value, then least cost
+        # no unit entry left: after a round that did not split, the least
+        # entry of its pivot's row and column, where its remainders lie;
+        # else the least absolute value in the matrix; then the least cost
+        if last:
+            r, c = last
+            return min([(abs(rows[i][c]), cost(i, c), i, c) for i in cols[c] if i != r]
+                       + [(abs(x), cost(r, j), r, j)
+                          for j, x in rows[r].items() if j != c])[2:]
         least = min(min(map(abs, row.values())) for row in rows.values())
         return min((cost(r, c), r, c) for r, row in rows.items()
                    for c, x in row.items() if abs(x) == least)[1:]
 
-    heap = []
+    heap, last = [], None  # last: the pivot of a round that did not split
     for r in rows:
         push_units(r)
     diagonal = []
@@ -797,6 +808,7 @@ def _invariant_factors(rows: List[dict]) -> List[int]:
                 push_units(i)
             else:
                 del rows[i]
+        last = r, c
         if len(cols[c]) > 1:
             continue
         # column c is now p alone, so column operations change row r only
@@ -810,6 +822,7 @@ def _invariant_factors(rows: List[dict]) -> List[int]:
         else:
             del rows[r], cols[c]
             diagonal.append(abs(p))
+            last = None
     chain = [d for d in diagonal if d != 1]
     for i in range(len(chain)):
         for j in range(i + 1, len(chain)):

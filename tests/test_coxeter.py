@@ -545,6 +545,45 @@ def test_a_dropped_system_is_freed_without_the_cycle_collector(name):
         gc.enable()
 
 
+@pytest.mark.parametrize("name", ["E6", "H4"])
+def test_in_place_kernels_leave_the_shared_vectors_alone(name):
+    # walk copies the identity vector once and peel works on that copy: the
+    # memoized identity vector, the identity frame and the Cartan rows stay
+    # what a fresh system builds, over Z (E6) and over Z[theta] (H4)
+    system, fresh = named_system(name), named_system(name)
+    vector, frame = system._coset_vector(()), system._frame()
+    rng = random.Random(29)
+    for _ in range(150):
+        u, v = (system.normal_form([rng.randrange(system.rank)
+                                    for _ in range(rng.randint(0, 12))]) for _ in "uv")
+        assert (u * v).inv() == v.inv() * u.inv()
+        assert u.conj(v) == u * v * u.inv()
+        assert u.descents("left") == u.inv().descents("right")
+    assert system._coset_vector(()) is vector and system._frame() is frame
+    assert vector == fresh._coset_vector(()) and frame == fresh._frame()
+    assert system._cartan_rows()[1] == fresh._cartan_rows()[1]
+    assert system.normal_form(()).is_identity() and not system.identity.descents()
+
+
+@pytest.mark.parametrize("name", ["E6", "H3"])
+def test_element_arithmetic_takes_no_coset_step(name, monkeypatch):
+    # _vector and _shortlex walk and peel in one ring call each: the ring's
+    # one-letter step serves the walk of the elements (_levels) alone
+    system = named_system(name)
+    ring, _ = system._cartan_rows()
+    calls = []
+    step = ring.step
+    monkeypatch.setattr(ring, "step",
+                        lambda r, s, row: calls.append(s) or step(r, s, row))
+    w = longest_element(system)
+    u = system.normal_form((0, 1, 2) * 3)
+    assert (u * w).inv() == w.inv() * u.inv() and u.conj(w) != u
+    assert u.descents("left") and w.descents("right") and system._vector(w.word)
+    assert calls == []
+    list(system.enumerate_elements(max_length=1))
+    assert calls
+
+
 def test_descents_match_definition():
     system = named_system("A3")
     for w in system.elements():

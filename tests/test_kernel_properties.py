@@ -17,7 +17,8 @@ deterministic = settings(derandomize=True, database=None, max_examples=60,
                          deadline=None)
 
 PERMUTATION = {name: PermutationOracle.for_system(name) for name in ("A4", "B3", "D4")}
-F4 = MatrixOracle(named_system("F4"))
+# over Z for F4 and E8, over Z[phi] (GoldenInt) for H4
+MATRIX = {name: MatrixOracle(named_system(name)) for name in ("F4", "E8", "H4")}
 SMALL = {name: named_system(name) for name in ("A3", "B3")}
 
 
@@ -49,31 +50,47 @@ def test_normal_form_matches_permutation_oracle(case):
     assert el.descents("left") == oracle.descents(img, "left")
 
 
+def negative(x):
+    """x < 0, for an int or for x = a + b phi in Z[phi]: 2x = p + q sqrt 5
+    with p = 2a + b and q = b, compared by their squares where their signs
+    differ."""
+    if isinstance(x, int):
+        return x < 0
+    p, q = 2 * x.a + x.b, x.b
+    if p >= 0 and q >= 0:
+        return False
+    if p <= 0 and q <= 0:
+        return True
+    return (p * p > 5 * q * q) == (p < 0)
+
+
 def root_descents(img):
     """s is a right descent of w iff w(alpha_s), column s of the image on
     root coordinates, is a negative root."""
     n = len(img)
-    return frozenset(s for s in range(n) if any(img[a][s] < 0 for a in range(n)))
+    return frozenset(s for s in range(n) if any(negative(img[a][s]) for a in range(n)))
 
 
-def root_length(img):
+def root_length(oracle, img):
     """The number of right descents peeled off, one at a time, down to 1."""
     length = 0
     while d := root_descents(img):
-        img = F4._matmul(img, F4.gen_mats[min(d)])
+        img = oracle._matmul(img, oracle.gen_mats[min(d)])
         length += 1
     return length
 
 
-@deterministic
-@given(cases({"F4": F4.system}, 1, 7))
+@settings(deterministic, max_examples=180)
+@given(cases({name: o.system for name, o in MATRIX.items()}, 1, 7))
 def test_normal_form_matches_matrix_oracle_F4(case):
-    _, word = case
-    el = F4.system.normal_form(word)
-    img = F4.image_of_word(word)
-    inverse = F4.image_of_word(word[::-1])
-    assert F4.image(el) == img
-    assert len(el) == root_length(img)
+    # F4, and E8 and H4 too: H4 peels over Z[theta] against GoldenInt images
+    name, word = case
+    oracle = MATRIX[name]
+    el = oracle.system.normal_form(word)
+    img = oracle.image_of_word(word)
+    inverse = oracle.image_of_word(word[::-1])
+    assert oracle.image(el) == img
+    assert len(el) == root_length(oracle, img)
     assert el.descents("right") == root_descents(img)
     assert el.descents("left") == root_descents(inverse)
 

@@ -700,6 +700,27 @@ def test_abelianization_matches_sympy_on_random_matrices():
         assert with_torsion >= least_with_torsion
 
 
+def test_invariant_factors_match_sympy_without_unit_entries():
+    pytest.importorskip("sympy")
+    from sympy import ZZ, Matrix
+    from sympy.matrices.normalforms import invariant_factors
+
+    rng = random.Random(43)
+    # no +-1 entry, so every pivot comes from the Euclidean rounds, which
+    # go on from the remainders each round leaves in its pivot's row and
+    # column; then all-even entries, so that no invariant factor is 1
+    batches = [(120, 12, (0, 0, 2, -2, 3, -4, 6, 9, -10, 15, 25, -36)),
+               (60, 10, (0, 2, -2, 4, -6, 8, 12, -18, 30))]
+    for count, size, entries in batches:
+        for _ in range(count):
+            nrows, ncols = rng.randint(1, size), rng.randint(1, size)
+            matrix = [[rng.choice(entries) for _ in range(ncols)] for _ in range(nrows)]
+            expected = [abs(int(d)) for d in invariant_factors(Matrix(matrix), domain=ZZ)
+                        if d]
+            rows = [{c: x for c, x in enumerate(row) if x} for row in matrix]
+            assert schreier._invariant_factors(rows) == expected, matrix
+
+
 def test_abelianization_merges_one_letter_relations_as_sympy_does():
     pytest.importorskip("sympy")
     rng = random.Random(19)
