@@ -11,8 +11,9 @@ and the sign of r_s says how s acts: r_s > 0, ws is longer and I-reduced;
 r_s < 0, ws is shorter; r_s = 0, ws = tw for the t in I with w(a_s) = a_t
 (Deodhar).  The Cartan matrix A is integral when every bond lies in
 {2, 3, 4, 6, inf}; otherwise it is the symmetric matrix of -2cos(pi/m) over
-the exact ring Z[2cos(pi/M)], with signs certified in integers: 2cos(pi/M)
-is bracketed by bisection on the sign of its minimal polynomial.
+the exact ring Z[2cos(pi/M)], with signs certified in integers: Horner's rule
+on integer intervals over brackets of 2cos(pi/M), each one Newton step on its
+minimal polynomial from the last.
 
 At I = () the vector of w is the heights of the roots w(a_j), and s is a
 right descent of w iff r_s < 0.  `CoxElem` products, inverses, normal forms
@@ -42,7 +43,7 @@ from __future__ import annotations
 import json
 import re
 from itertools import chain, islice
-from math import lcm
+from math import cos, lcm, pi
 from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
 
@@ -109,12 +110,12 @@ class _Integers:
         return r
 
     @staticmethod
-    def peel(r, rows):
-        """The letters peeled off the list r in place, the least s with
-        r_s < 0 first, until no entry is negative (see the module
-        docstring)."""
+    def peel(r, rows, most):
+        """The letters peeled off the list r in place, the least s with r_s < 0
+        first, until no entry is negative (see the module docstring); more
+        than `most`, the length of the walked word, is a fault of the walk."""
         letters = []
-        while True:
+        for _ in range(most + 1):
             for s, x in enumerate(r):
                 if x < 0:
                     break
@@ -124,6 +125,7 @@ class _Integers:
             r[s] = -x
             for t, a in rows[s]:
                 r[t] -= a * x
+        raise RuntimeError(f"peeled more than {most} letters off a walked vector")
 
 
 # (A[s][t], A[t][s]) for s < t: the integral Cartan split of a bond
@@ -138,22 +140,23 @@ class _RealCyclotomic:
     multiplication by theta has about 2d of them.
 
     The sign is exact.  theta >= 1, so a vector with no negative (no
-    positive) coordinate is positive (negative).  Otherwise the element is
-    bounded by integer brackets of theta^k 2^bits, with twice the bits until
-    the bracket of the element excludes 0; it does, the element being
-    nonzero.  The bracket lo < theta 2^g < lo + 1 is read off the sign of
-    the minimal polynomial psi, evaluated exactly in integers by Horner's
-    rule.  Let L = floor((2 - (22/7M)^2) 2^g): cos x >= 1 - x^2/2 and
-    pi < 22/7 put L below theta 2^g, and for g >= 32 L lies above
-    2cos(3 pi/M) 2^g, hence above every other root 2cos(k pi/M) of psi;
-    theta being the largest root, psi < 0 between L and theta and psi > 0
-    above theta.  So an lo >= L with psi(lo) < 0 < psi(lo + 1) (scaled by
-    2^-g) certifies the bracket; theta is irrational, so psi is never 0
-    there.  Up to 48 bits the bracket is bisected from (L, 2^(g+1)).
-    Beyond, one Newton step on psi from a bracket of at least g/2 + 8 bits
-    (cached, or made the same way) lands within a unit or two of theta 2^g,
-    and lo steps by 1 until the two signs certify it: O(log g) evaluations
-    in all.
+    positive) coordinate is positive (negative).  Otherwise, for g = 64,
+    112, 208, ... (g <- 2g - 16) and lo < theta 2^g < hi = lo + 1, Horner's
+    rule runs on integer intervals: a = b = the leading coordinate, then
+    for k = 1, 2, ... [a, b] <- [least, greatest of a lo, a hi, b lo, b hi]
+    + c 2^(g k), c the next coordinate, so the value so far lies in
+    [a, b] / 2^(g k).  Nothing is rounded, and a > 0 or b < 0 for some g,
+    the element being nonzero.  The bracket is certified by the signs of
+    the minimal polynomial psi, evaluated exactly by Horner's rule.
+    L = floor((2 - (22/7M)^2) 2^g) lies below theta 2^g (cos x >= 1 - x^2/2
+    and pi < 22/7) and, for g >= 32, above 2cos(3 pi/M) 2^g, hence above
+    every other root 2cos(k pi/M) of psi; so psi < 0 between L and theta
+    and psi > 0 above theta, and an lo >= L with psi(lo) < 0 < psi(lo + 1)
+    (scaled by 2^-g) certifies the bracket, theta being irrational.  lo is
+    one Newton step on psi, clamped at L, from a float if g <= 64, else
+    from the bracket of h = g//2 + 8 >= 40 bits, then steps by 1 until the
+    two signs certify it.  So each bracket of `sign` is one Newton step from
+    the last, and one made from nothing takes O(log g) evaluations of psi.
     """
 
     def __init__(self, M: int):
@@ -162,7 +165,7 @@ class _RealCyclotomic:
         d = self.d = len(self.poly) - 1
         self.zero = (0,) * d
         self.one = (1,) + (0,) * (d - 1)
-        self._bounds, self._brackets = {}, {}  # {bits: bounds}, {g: lo}
+        self._brackets = {}  # {g: lo}
 
     def _reduce(self, coeffs: list) -> tuple:
         coeffs = list(coeffs) + [0] * (self.d - len(coeffs))
@@ -226,13 +229,15 @@ class _RealCyclotomic:
                     y[i] -= v * x[k]
         return r
 
-    def peel(self, r, rows):
+    def peel(self, r, rows, most):
         """`_Integers.peel` over Z[theta]: the sign of an entry is taken
         again only when a letter changes it."""
         sign = self.sign
         signs = [sign(x) for x in r]
         letters = []
-        while -1 in signs:
+        for _ in range(most + 1):
+            if -1 not in signs:
+                return letters
             s = signs.index(-1)
             letters.append(s)
             x = r[s]
@@ -242,40 +247,25 @@ class _RealCyclotomic:
                 for i, k, v in a:
                     y[i] -= v * x[k]
                 signs[t] = sign(y)
-        return letters
+        raise RuntimeError(f"peeled more than {most} letters off a walked vector")
 
     def sign(self, x) -> int:
         if min(x) >= 0:
             return 1 if any(x) else 0
         if max(x) <= 0:
             return -1
-        bits = 64
+        g = 64
         while True:
-            lo = hi = 0
-            for c, p_lo, p_hi in zip(x, *self._power_bounds(bits)):
-                if c > 0:
-                    lo, hi = lo + c * p_lo, hi + c * p_hi
-                elif c < 0:
-                    lo, hi = lo + c * p_hi, hi + c * p_lo
-            if lo > 0:
+            lo, hi = self._theta_bracket(g)
+            a = b = x[-1]
+            for k, c in enumerate(reversed(x[:-1]), 1):
+                c <<= g * k
+                a, b = min(a * lo, a * hi) + c, max(b * lo, b * hi) + c
+            if a > 0:
                 return 1
-            if hi < 0:
+            if b < 0:
                 return -1
-            bits *= 2
-
-    def _power_bounds(self, bits: int):
-        """Integers lo_k <= theta^k 2^bits <= hi_k for k < d."""
-        if bits not in self._bounds:
-            g = bits + self.d + 2 * (bits + self.d).bit_length() + 16
-            t_lo, t_hi = self._theta_bracket(g)
-            p_lo = p_hi = 1 << g
-            lo, hi = [], []
-            for _ in range(self.d):
-                lo.append(p_lo >> (g - bits))
-                hi.append(-(-p_hi >> (g - bits)))
-                p_lo, p_hi = p_lo * t_lo >> g, -(-p_hi * t_hi >> g)
-            self._bounds[bits] = (lo, hi)
-        return self._bounds[bits]
+            g = 2 * g - 16
 
     def _psi(self, k: int, g: int, derivative: bool = False) -> int:
         """psi(k / 2^g) 2^(g d), or psi'(k / 2^g) 2^(g (d - 1)), by Horner's
@@ -291,28 +281,17 @@ class _RealCyclotomic:
     def _theta_bracket(self, g: int) -> Tuple[int, int]:
         """Integers lo < theta 2^g < hi = lo + 1 (see the class docstring)."""
         if g not in self._brackets:
-            m2 = 49 * self.M * self.M
-            floor = ((2 * m2 - 484) << g) // m2  # L of the class docstring
-            if g <= 48:
-                lo, hi = floor, 2 << g
-                while hi - lo > 1:
-                    mid = (lo + hi) // 2
-                    if self._psi(mid, g) > 0:
-                        hi = mid
-                    else:
-                        lo = mid
+            if g <= 64:
+                x = round(2 * cos(pi / self.M) * 2.0 ** g)
             else:
-                h = max((h for h in self._brackets if g // 2 + 8 <= h < g),
-                        default=g // 2 + 8)
+                h = g // 2 + 8
                 x = self._theta_bracket(h)[0] << (g - h)
-                lo = max(floor, x - self._psi(x, g) // self._psi(x, g, derivative=True))
-                while True:
-                    if self._psi(lo, g) > 0:
-                        lo -= 1
-                    elif self._psi(lo + 1, g) < 0:
-                        lo += 1
-                    else:
-                        break
+            L = ((98 * self.M ** 2 - 484) << g) // (49 * self.M ** 2)
+            lo = max(L, x - self._psi(x, g) // self._psi(x, g, derivative=True))
+            while self._psi(lo, g) > 0:
+                lo -= 1
+            while self._psi(lo + 1, g) < 0:
+                lo += 1
             self._brackets[g] = lo
         return self._brackets[g], self._brackets[g] + 1
 
@@ -488,7 +467,7 @@ class CoxeterSystem:
         whose inverse has the vector r s."""
         ring, rows = self._cartan_rows()
         r = ring.walk(self._coset_vector(()), reversed(word), rows)
-        return CoxElem(self, tuple(ring.peel(r, rows)))
+        return CoxElem(self, tuple(ring.peel(r, rows, len(word))))
 
     def _act(self, word: Sequence[int], v: Sequence) -> tuple:
         """w(v), w spelled by `word` and v over the simple roots: one simple
@@ -968,7 +947,10 @@ def longest_element(system: CoxeterSystem, I: Optional[Iterable[int]] = None) ->
         raise CoxeterError(f"parabolic on {sorted(I)} is not spherical")
     w = system.identity
     while missing := I - w.descents("right"):
-        w = w * system.gen(min(missing))
+        v = w * system.gen(min(missing))
+        if len(v) <= len(w):
+            raise RuntimeError(f"{w} {system.gen(min(missing))} is not longer than {w}")
+        w = v
     return w
 
 

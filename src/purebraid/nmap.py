@@ -84,13 +84,18 @@ class ZTVector:
 
     @classmethod
     def from_json(cls, system: CoxeterSystem, doc: dict) -> "ZTVector":
+        """{reflection word: int}; anything else raises CoxeterError."""
+        if not isinstance(doc, dict):
+            raise CoxeterError("expected an object {reflection word: coefficient}")
         coeffs = {}
         for key, c in doc.items():
+            if type(c) is not int:
+                raise CoxeterError(f"coefficient {c!r} of {key!r} is not an integer")
             t = system.normal_form(system.parse_word(key)) if key not in ("", "e") \
                 else system.identity
             if not is_reflection(t):
                 raise CoxeterError(f"{key!r} is not a reflection")
-            coeffs[t] = coeffs.get(t, 0) + int(c)
+            coeffs[t] = coeffs.get(t, 0) + c
         return cls(system, coeffs)
 
 

@@ -536,24 +536,35 @@ class Presentation:
 
     @classmethod
     def from_json(cls, system: CoxeterSystem, doc) -> "Presentation":
-        if isinstance(doc, str):
-            doc = json.loads(doc)
-        name_to_sym = {}
-        gens = []
-        for g in doc["generators"]:
-            if g["tag"] == "cox":
-                sym = cox_symbol(system.labels.index(g["gen"]))
-            else:
-                base = system.normal_form(system.parse_word(g["base"]))
-                sym = pure_symbol(base, system.labels.index(g["gen"]))
-            gens.append(sym)
-            name_to_sym[symbol_str(system, sym)] = sym
-        rels = []
-        for u, v in doc["relations"]:
-            rels.append((tuple((name_to_sym[n], e) for n, e in u),
-                         tuple((name_to_sym[n], e) for n, e in v)))
-        I = tuple(system.labels.index(lbl) for lbl in doc["I"])
-        return cls(system, I, gens, rels, partial=doc.get("partial", False))
+        """The presentation of a `to_json` document, or of its text, over
+        `system`.  Every malformed document raises CoxeterError: an exponent
+        must be the integer 1 or -1, and every name declared, once."""
+        def word(w):
+            if any(type(e) is not int or e not in (1, -1) for _, e in w):
+                raise ValueError(f"an exponent in {w} is not 1 or -1")
+            return tuple((name_to_sym[n], e) for n, e in w)
+
+        try:
+            if isinstance(doc, str):
+                doc = json.loads(doc)
+            gens = []
+            for g in doc["generators"]:
+                tag, gen = g["tag"], system.labels.index(g["gen"])
+                if tag not in ("cox", "pure"):
+                    raise ValueError(f"unknown tag {tag!r}")
+                gens.append(cox_symbol(gen) if tag == "cox" else pure_symbol(
+                    system.normal_form(system.parse_word(g["base"])), gen))
+            name_to_sym = {symbol_str(system, sym): sym for sym in gens}
+            if len(name_to_sym) < len(gens):
+                raise ValueError("a generator is declared twice")
+            rels = [(word(u), word(v)) for u, v in doc["relations"]]
+            I = tuple(system.labels.index(x) for x in doc["I"])
+            partial = doc.get("partial", False)
+            if type(partial) is not bool:
+                raise ValueError(f'"partial" is {partial!r}')
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise CoxeterError(f"malformed presentation document: {exc!r}") from None
+        return cls(system, I, gens, rels, partial=partial)
 
 
 def presentation_DI(system: CoxeterSystem, I, max_length: Optional[int] = None,

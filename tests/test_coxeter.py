@@ -13,6 +13,7 @@ from purebraid.coxeter import (
     CoxElem,
     CoxeterError,
     CoxeterSystem,
+    _Integers,
     _RealCyclotomic,
     coset_rep,
     exchange_witness,
@@ -145,6 +146,52 @@ def test_longest_element_lengths():
     assert len(longest_element(named_system("B3"))) == 9
     assert len(longest_element(named_system("D4"))) == 12
     assert len(longest_element(named_system("I2(7)"))) == 7
+
+
+def _skip_in_walk(monkeypatch, skip):
+    """Both rings' walk with the negation of r_s or the update of its
+    neighbours left out."""
+    def int_walk(r, word, rows):
+        r = list(r)
+        for s in word:
+            x = r[s]
+            if skip != "negation":
+                r[s] = -x
+            for t, a in rows[s] if skip != "neighbours" else ():
+                r[t] -= a * x
+        return r
+
+    def cyclotomic_walk(r, word, rows):
+        r = [list(x) for x in r]
+        for s in word:
+            x = r[s]
+            if skip != "negation":
+                r[s] = [-c for c in x]
+            for t, a in rows[s] if skip != "neighbours" else ():
+                for i, k, v in a:
+                    r[t][i] -= v * x[k]
+        return r
+
+    monkeypatch.setattr(_Integers, "walk", staticmethod(int_walk))
+    monkeypatch.setattr(_RealCyclotomic, "walk", staticmethod(cyclotomic_walk))
+
+
+@pytest.mark.parametrize("name", ["E6", "H3", "Atilde2"])
+def test_a_faulty_walk_fails_instead_of_spinning(name, monkeypatch):
+    system = named_system(name)
+    # without the update of the neighbours the walk leaves a vector that no
+    # element has: the peel takes more letters than the word has, and on
+    # Atilde2 it would go on forever
+    _skip_in_walk(monkeypatch, "neighbours")
+    with pytest.raises(RuntimeError):
+        system.normal_form((0, 1))
+    # without the negation no entry ever turns negative, so every product
+    # is e and the climb to the longest element would never end
+    _skip_in_walk(monkeypatch, "negation")
+    assert system.normal_form((0, 1)).is_identity()
+    if system.is_finite():
+        with pytest.raises(RuntimeError):
+            longest_element(system)
 
 
 def test_longest_element_descents():
@@ -322,23 +369,46 @@ def test_theta_bracket_against_high_precision(M):
 
 @pytest.mark.parametrize("M", [4, 5, 12, 35, 60])
 def test_theta_bracket_takes_logarithmically_many_evaluations(M, monkeypatch):
-    # a Newton step from the bracket of half the precision, certified by the
-    # signs of psi at lo and lo + 1, takes a few evaluations of psi per
-    # doubling: O(log g) in all, where a bisection takes about g of them
+    # a Newton step from the bracket of about half the precision, certified
+    # by the signs of psi at lo and lo + 1, takes a few evaluations of psi
+    # per doubling: O(log g) in all, where a bisection takes about g of them
     calls = []
     psi = _RealCyclotomic._psi
     monkeypatch.setattr(_RealCyclotomic, "_psi",
                         lambda self, *args, **kw: calls.append(args) or psi(self, *args, **kw))
-    for bits in (64, 256, 1024, 4096):
+    for g in (64, 256, 1024, 4096):
         ring = _RealCyclotomic(M)
         calls.clear()
-        ring._power_bounds(bits)
-        g = max(ring._brackets)
-        assert g > bits and len(calls) <= 8 * math.log2(g), (bits, len(calls))
-        # twice the bits start from the cached bracket: one Newton step
+        ring._theta_bracket(g)
+        assert len(calls) <= 8 * math.log2(g), (g, len(calls))
+        # the next precision of `sign` starts from the cached bracket: one
+        # Newton step
         calls.clear()
-        ring._power_bounds(2 * bits)
-        assert len(calls) <= 8, (bits, len(calls))
+        ring._theta_bracket(2 * g - 16)
+        assert len(calls) <= 8, (g, len(calls))
+
+
+@pytest.mark.parametrize("M", [5, 7, 8, 12, 20, 35])
+def test_ring_sign_of_near_misses_of_every_degree(M):
+    # theta^k (p - q theta) for the continued-fraction convergents p/q of
+    # theta and every k < d: each is within about 1/q of 0, and the factor
+    # theta^k spreads it over every coordinate
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(200):
+        theta = 2 * mpmath.cos(mpmath.pi / M)
+        ring = _RealCyclotomic(M)
+        d = ring.d
+        basis = [tuple(int(i == k) for i in range(d)) for k in range(d)]
+        p0, q0, p1, q1, x = 1, 0, int(theta), 1, theta
+        for _ in range(40):
+            miss = (p1, -q1) + (0,) * (d - 2)
+            for k in range(d):
+                z = ring.submul(ring.zero, ring.const(basis[k]), miss)  # -theta^k miss
+                v = sum(c * theta ** i for i, c in enumerate(z))
+                assert abs(v) > mpmath.mpf(10) ** -100
+                assert ring.sign(z) == (v > 0) - (v < 0), (k, z)
+            x = 1 / (x - int(x))
+            p0, q0, p1, q1 = p1, q1, int(x) * p1 + p0, int(x) * q1 + q0
 
 
 def _check_ring_against_high_precision(mpmath, M):
@@ -373,7 +443,7 @@ def _check_ring_against_high_precision(mpmath, M):
         v = value(x)
         assert abs(v) > margin or not any(x)
         assert ring.sign(x) == (v > 0) - (v < 0), x
-    assert max(ring._bounds) > 64  # some signs needed more than 64 bits
+    assert max(ring._brackets) > 64  # some signs needed more than 64 bits
     for x, y in zip(samples, samples[1:]):
         assert (x == y) == (abs(value(x) - value(y)) < margin)
         for j in (1, M - 1):

@@ -148,6 +148,13 @@ def test_ztvector_arithmetic_and_json():
         ZTVector.from_json(system, {"s1 s2": 1})
 
 
+@pytest.mark.parametrize("doc", [{"s1": 2.7}, {"s1": "3"}, {"s1": True}, {"s9": 1}, [["s1", 1]]],
+                         ids=["float", "string", "bool", "unknown label", "not an object"])
+def test_ztvector_from_json_rejects_malformed_documents(doc):
+    with pytest.raises(CoxeterError):
+        ZTVector.from_json(named_system("A2"), doc)
+
+
 def test_ztvector_action_is_by_conjugation():
     system = named_system("B2")
     x = eval_N(BraidWord.parse(system, "s1"))

@@ -908,6 +908,46 @@ def test_presentation_json_roundtrip():
     assert not doc["partial"]
 
 
+def _presentation_doc(**changes):
+    doc = presentation_pure(named_system("A2")).to_json()
+    doc.update(changes)
+    return doc
+
+
+@pytest.mark.parametrize("doc", [
+    _presentation_doc(relations=[[[["a[e;s1]", 2]], []]]),  # read as a[e;s1]^1
+    _presentation_doc(relations=[[[["a[e;s1]", True]], []]]),
+    _presentation_doc(relations=[[[["a[s9;s1]", 1]], []]]),  # undeclared name
+    {k: v for k, v in _presentation_doc().items() if k != "relations"},
+    _presentation_doc(generators=[{"tag": "cox", "gen": "s9"}], relations=[]),
+    _presentation_doc(generators=[{"tag": "braid", "gen": "s1"}], relations=[]),
+    _presentation_doc(generators=[{"tag": "pure", "base": "", "gen": "s1"},
+                                  {"tag": "pure", "base": "s2 s2", "gen": "s1"}], relations=[]),
+    _presentation_doc(I=["s9"]),
+    _presentation_doc(partial="no"),
+    '{"generators": [',
+    "[]",
+], ids=["exponent 2", "exponent true", "undeclared name", "no relations",
+        "unknown generator label", "unknown tag", "declared twice", "unknown label in I",
+        "partial not a bool", "bad text", "not an object"])
+def test_presentation_from_json_rejects_malformed_documents(doc):
+    with pytest.raises(CoxeterError):
+        Presentation.from_json(named_system("A2"), doc)
+
+
+def test_presentation_from_json_reads_text_and_inverse_letters():
+    system = named_system("A2")
+    p = presentation_pure(system)
+    doc = p.to_json()
+    doc["relations"] = [[u, v[::-1]] for u, v in doc["relations"]]
+    for rel in doc["relations"]:
+        for letter in rel[1]:
+            letter[1] = -letter[1]
+    q = Presentation.from_json(system, json.dumps(doc))
+    assert q.generators == p.generators
+    assert q.codes == tuple((u, tuple(c ^ 1 for c in reversed(v))) for u, v in p.codes)
+
+
 def test_presentation_text_contains_generators():
     system = named_system("A3")
     p = presentation_DI(system, (0, 1))
