@@ -27,10 +27,11 @@ W^I (`enumerate_elements`) is also the coset table of `schreier`, for any I:
 asked to, it records each step it takes (`_levels`); it keys its levels by
 the vectors r s, so it takes them one letter at a time, each a new tuple
 (`step`).  The same walk reads the positive roots w(a_s), and with them the
-reflections (`reflections`), off the frame of w: the roots w(a_j), which
-determine w, the representation being faithful.  (N, p): B_W -> ZT x| W is
-folded over roots and frames alone, in one place (`CoxeterSystem._fold_Np`),
-for `nmap` and for the certificate of `schreier`.
+reflections (`reflections`), off the frame of w: the roots w(a_j), one step
+from the frame of a prefix.  (N, p): B_W -> ZT x| W is folded over roots
+and coset vectors alone, in one place (`CoxeterSystem._fold_Np`), for `nmap`
+and for the certificate of `schreier`: the vector at I = () determines w,
+the height functional lying inside the fundamental chamber.
 
 Finiteness is decided exactly from the Coxeter graph by the classification
 of the finite Coxeter groups (Coxeter 1935; Humphreys, Reflection Groups and
@@ -143,8 +144,9 @@ class _RealCyclotomic:
     positive) coordinate is positive (negative).  Otherwise, for g = 64,
     112, 208, ... (g <- 2g - 16) and lo < theta 2^g < hi = lo + 1, Horner's
     rule runs on integer intervals: a = b = the leading coordinate, then
-    for k = 1, 2, ... [a, b] <- [least, greatest of a lo, a hi, b lo, b hi]
-    + c 2^(g k), c the next coordinate, so the value so far lies in
+    for k = 1, 2, ... [a, b] <- [a lo + min(a, 0), b lo + max(b, 0)]
+    + c 2^(g k), c the next coordinate (the least and greatest of a lo,
+    a hi, b lo, b hi, as lo > 0), so the value so far lies in
     [a, b] / 2^(g k).  Nothing is rounded, and a > 0 or b < 0 for some g,
     the element being nonzero.  The bracket is certified by the signs of
     the minimal polynomial psi, evaluated exactly by Horner's rule.
@@ -256,11 +258,11 @@ class _RealCyclotomic:
             return -1
         g = 64
         while True:
-            lo, hi = self._theta_bracket(g)
+            lo, _ = self._theta_bracket(g)
             a = b = x[-1]
             for k, c in enumerate(reversed(x[:-1]), 1):
                 c <<= g * k
-                a, b = min(a * lo, a * hi) + c, max(b * lo, b * hi) + c
+                a, b = a * lo + min(a, 0) + c, b * lo + max(b, 0) + c
             if a > 0:
                 return 1
             if b < 0:
@@ -531,13 +533,20 @@ class CoxeterSystem:
         """The reflection u s u^-1 of a positive root u(a_s), u read off by
         lowering the root to a simple one: a positive root that is not simple
         has a simple reflection t that lowers its coordinate at t and keeps
-        it positive (Björner-Brenti, GTM 231, 4.6)."""
-        ring, _ = self._cartan_rows()
-        unit, u = ring.const(ring.one), []
+        it positive (Björner-Brenti, GTM 231, 4.6).  s_t changes only the
+        coordinate at t, so each candidate t costs that coordinate alone,
+        and the first t that lowers it writes it into the root in place."""
+        ring, rows = self._cartan_rows()
+        unit, u, root = ring.const(ring.one), [], list(root)
         while sum(x != ring.zero for x in root) > 1:
-            u.append(next(t for t in range(self.rank) if ring.sign(
-                ring.submul(root[t], unit, self._act((t,), root)[t])) > 0))
-            root = self._act(u[-1:], root)
+            for t, row in enumerate(rows):
+                y = ring.neg(root[t])
+                for j, a in row:
+                    y = ring.submul(y, a, root[j])
+                if ring.sign(ring.submul(root[t], unit, y)) > 0:
+                    root[t] = y
+                    u.append(t)
+                    break
         s = next(j for j, x in enumerate(root) if x != ring.zero)
         return self.normal_form(tuple(u) + (s,) + tuple(reversed(u)))
 
@@ -546,18 +555,17 @@ class CoxeterSystem:
         word of the W-part) in ZT x| W, a reflection being read as its
         positive root: from (0, 1), (x, w)(y, v) = (x + w.y, w v), w acting
         on the roots of y through the letters of its word.  Returns
-        ({positive root: nonzero coefficient}, the frame of the W-part):
-        equal for two products iff they are."""
-        x, word, frame = {}, [], self._frame()
+        ({positive root: nonzero coefficient}, the coset vector of the
+        W-part, one walk of its word): equal for two products iff they are,
+        the vector at I = () determining its element (module docstring)."""
+        x, word = {}, []
         for roots, v in images:
             for root, c in roots.items():
                 if word:
                     root = self._positive(self._act(word, root))
                 x[root] = x.get(root, 0) + c
-            for s in v:
-                frame = self._frame_step(frame, s)
             word += v
-        return {root: c for root, c in x.items() if c}, frame
+        return {root: c for root, c in x.items() if c}, self._vector(word)
 
     # -- element enumeration ---------------------------------------------
 

@@ -3,12 +3,13 @@
 N sends a signed word s1^e1 ... sk^ek to sum_i e_i * (s1...s_{i-1} s_i
 s_{i-1}...s1), and (N, p) is a group homomorphism into ZT x| W.  Its kernel is
 the derived subgroup of the pure braid group, which gives a decidable equality
-of braid words modulo D(P_W).  (N, p) is folded over positive roots and
-frames by `CoxeterSystem._fold_Np`, as in `schreier.soundness_report`, and
-`eval_N` keys its vector by reflections, one per root.  The mod-2 reduction
-of N on W is the inversion set; admissibility of a reflection subset is
-decided by inversion-set peeling rather than by root-coordinate closure (the
-two are equivalent, and peeling needs no algebraic-number arithmetic).
+of braid words modulo D(P_W).  (N, p) is folded over positive roots, with
+the W-part as its coset vector, by `CoxeterSystem._fold_Np`, as in
+`schreier.soundness_report`, and `eval_N` keys its vector by reflections,
+one per root.  The mod-2 reduction of N on W is the inversion set;
+admissibility of a reflection subset is decided by inversion-set peeling
+rather than by root-coordinate closure (the two are equivalent, and peeling
+needs no algebraic-number arithmetic).
 """
 
 from __future__ import annotations

@@ -670,7 +670,7 @@ def soundness_report(p: Presentation) -> dict:
             return {simple[sym[1]]: e}, (sym[1],)
         return {root[c >> 1]: 2 * e}, ()
 
-    image, unit, names = _Memo(image).__getitem__, ({}, simple), _Names(p)
+    image, unit, names = _Memo(image).__getitem__, ({}, system._vector(())), _Names(p)
     failures = [(names.word(u), names.word(v)) for u, v in p.codes
                 if system._fold_Np(map(image, u + tuple(c ^ 1 for c in reversed(v)))) != unit]
     return {"checked": len(p.codes), "failures": failures,

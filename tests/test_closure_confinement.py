@@ -7,9 +7,11 @@ methods that multiply, invert and conjugate, and `reduced_words` is called
 only where reduced words are what is asked for.  A swap of the element
 kernel then stays inside `CoxeterSystem`/`CoxElem`.
 
-Frames are stepped in `coxeter` alone: by the one (N, p) fold
-`CoxeterSystem._fold_Np`, by the root walk and by the frames of a set of
-words, so that no second (N, p) evaluator grows in `nmap` or `schreier`.
+Frames are stepped in `coxeter` alone, by the root walk and by the frames
+of a set of words.  A word acts on a root (`_act`) and on the coset vector
+(the ring's `walk`) in `coxeter` alone too: in the one (N, p) fold
+`CoxeterSystem._fold_Np`, in `_root`, and in the walks of the element
+kernel, so that no second (N, p) evaluator grows in `nmap` or `schreier`.
 """
 
 import ast
@@ -27,9 +29,14 @@ SHORTLEX_SCOPES = {
 }
 REDUCED_WORDS_SCOPES = set()
 FRAME_STEP_SCOPES = {
-    "coxeter.CoxeterSystem._fold_Np",
     "coxeter.CoxeterSystem._root_walk",
     "coxeter.CoxeterSystem._frames",
+}
+ACT_AND_WALK_SCOPES = {
+    "coxeter.CoxeterSystem._fold_Np",
+    "coxeter.CoxeterSystem._root",
+    "coxeter.CoxeterSystem._vector",
+    "coxeter.CoxeterSystem._shortlex",
 }
 
 
@@ -46,16 +53,20 @@ def _name_of(node):
     return None
 
 
-def scopes_using(source: str, module: str, names: set, calls_only=False) -> set:
+def scopes_using(source: str, module: str, names: set, calls_only=False,
+                 methods_only=False) -> set:
     """The qualified scopes (module.Class.function) in which one of `names`
-    appears; with calls_only, in which one is called."""
+    appears; with calls_only, in which one is called; with methods_only, in
+    which one is called as an attribute (x.name(...)), so that a local
+    function of the same name does not count."""
     found = set()
 
     def visit(node, scope):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             scope = f"{scope}.{node.name}"
-        if calls_only:
-            if isinstance(node, ast.Call) and _name_of(node.func) in names:
+        if calls_only or methods_only:
+            if isinstance(node, ast.Call) and _name_of(node.func) in names and \
+                    (calls_only or isinstance(node.func, ast.Attribute)):
                 found.add(scope)
         elif _name_of(node) in names:
             found.add(scope)
@@ -66,10 +77,10 @@ def scopes_using(source: str, module: str, names: set, calls_only=False) -> set:
     return found
 
 
-def _package_scopes(names: set, calls_only=False) -> set:
+def _package_scopes(names: set, calls_only=False, methods_only=False) -> set:
     return {scope for path in SRC.glob("*.py")
             for scope in scopes_using(path.read_text(encoding="utf-8"), path.stem,
-                                      names, calls_only)}
+                                      names, calls_only, methods_only)}
 
 
 def test_the_closure_has_left_the_package():
@@ -88,6 +99,10 @@ def test_frames_are_stepped_only_in_coxeter():
     assert _package_scopes({"_frame_step"}, calls_only=True) == FRAME_STEP_SCOPES
 
 
+def test_words_act_on_roots_and_vectors_only_in_coxeter():
+    assert _package_scopes({"_act", "walk"}, methods_only=True) == ACT_AND_WALK_SCOPES
+
+
 def test_detects_uses_outside_the_allowed_scopes():
     source = ("class K:\n"
               "    def f(self):\n"
@@ -100,3 +115,11 @@ def test_detects_uses_outside_the_allowed_scopes():
               "    return w.reduced_words\n")
     assert scopes_using(source, "m", CLOSURE) == {"m.K.f", "m.K.g"}
     assert scopes_using(source, "m", {"reduced_words"}, calls_only=True) == {"m.h.inner"}
+    source = ("def f(ring, word):\n"
+              "    return ring.walk(word)\n"
+              "def g(node):\n"
+              "    def walk(x):\n"
+              "        return x\n"
+              "    return walk(node)\n")
+    assert scopes_using(source, "m", {"walk"}, calls_only=True) == {"m.f", "m.g"}
+    assert scopes_using(source, "m", {"walk"}, methods_only=True) == {"m.f"}

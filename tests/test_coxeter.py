@@ -503,6 +503,19 @@ def test_root_walk_stops_early_with_the_same_roots(name):
     assert len(walk) == {"H4": 60, "E6": 36}[name]
 
 
+@pytest.mark.parametrize("name", ["A5", "B4", "D5", "F4", "E6", "H3", "H4", "I2(5)",
+                                  "I2(7)", "E8"])
+def test_reflection_of_a_root_is_its_palindrome(name):
+    # `_reflection` lowers the root one coordinate at a time; the oracle is
+    # the normal form of b s b^-1 for the witness (b, s) of the root walk.
+    # E8's full walk is far too slow, so it is checked to length 5 (43 roots)
+    system = named_system(name)
+    walk = system._root_walk((), 5 if name == "E8" else None)
+    assert len(walk) == (43 if name == "E8" else len(reflections(system)))
+    for root, (b, s) in walk.items():
+        assert system._reflection(root) == system.normal_form(b.word + (s,) + b.word[::-1])
+
+
 def test_reflections_of_affine_A2_at_every_max_length():
     system = named_system("Atilde2")
     assert reflections(system, max_length=0) == []

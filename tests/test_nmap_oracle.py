@@ -6,14 +6,14 @@ import random
 import pytest
 
 import nmap_oracle
-from purebraid.braid import BraidWord
+from purebraid.braid import BraidWord, lift
 from purebraid.coxeter import named_system, system_from_json
-from purebraid.nmap import cocycle, equal_mod_derived, eval_N
+from purebraid.nmap import _letter_images, cocycle, equal_mod_derived, eval_N
 
-# I2(5) and H3 compute over Z[2cos(pi/5)]; Atilde2 and the triangle with the
-# infinite bond m(s2, s3) are infinite
+# I2(5), H3 and H4 compute over Z[2cos(pi/5)]; Atilde2 and the triangle with
+# the infinite bond m(s2, s3) are infinite
 SYSTEMS = {name: named_system(name)
-           for name in ("A3", "B3", "H3", "I2(5)", "F4", "E6", "Atilde2")}
+           for name in ("A3", "B3", "H3", "H4", "I2(5)", "F4", "E6", "E8", "Atilde2")}
 SYSTEMS["7-3-inf"] = system_from_json(json.dumps(
     {"rank": 3, "m": [[1, 7, 3], [7, 1, None], [3, None, 1]]}))
 
@@ -39,3 +39,22 @@ def test_eval_N_and_cocycle_match_the_oracle(name):
                                     for _ in range(rng.randrange(6))]) for _ in "vw")
         assert cocycle(v, w) == nmap_oracle.cocycle(v, w)
     assert cocycle(system.identity, system.identity).is_zero()
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "H3", "D4", "I2(5)", "Atilde2", "7-3-inf"])
+def test_the_W_part_of_the_fold_is_the_coset_vector(name):
+    # the coset vector at I = () determines w, the height functional lying
+    # inside the fundamental chamber: over all of W, or to length 4 when W
+    # is infinite, the fold's W-part of lift(w) is _vector(w.word), of
+    # lift(w) lift(v) that of w v, and no two elements share one
+    system = SYSTEMS[name] if name in SYSTEMS else named_system(name)
+    fold, rng = system._fold_Np, random.Random(25)
+    elements = list(system.enumerate_elements(max_length=None if system.is_finite() else 4))
+    seen = set()
+    for w in elements:
+        _, vector = fold(_letter_images(lift(w)))
+        assert vector == system._vector(w.word)
+        v = rng.choice(elements)
+        assert fold(_letter_images(lift(w) * lift(v)))[1] == system._vector((w * v).word)
+        seen.add(repr(vector))
+    assert len(seen) == len(elements)
