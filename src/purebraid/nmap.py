@@ -9,7 +9,8 @@ the W-part as its coset vector, by `CoxeterSystem._fold_Np`, as in
 one per root.  The mod-2 reduction of N on W is the inversion set;
 admissibility of a reflection subset is decided by inversion-set peeling
 rather than by root-coordinate closure (the two are equivalent, and peeling
-needs no algebraic-number arithmetic).
+needs no algebraic-number arithmetic).  The cocycle is read off roots, with
+no braid word: c(v, w) = 2 (nbar(v) & v nbar(w) v^-1) (see `cocycle`).
 """
 
 from __future__ import annotations
@@ -145,10 +146,18 @@ def eval_Np(b: BraidWord) -> SemidirectElem:
     return SemidirectElem(eval_N(b), b.project())
 
 
+def _roots(system: CoxeterSystem, prefix: tuple, word: tuple):
+    """u(b_i), u spelled by `prefix`, b_i = w_1...w_{i-1}(a_{w_i}) the root of t_i."""
+    for i, s in enumerate(word):
+        yield system._root(prefix + word[:i], s)
+
+
 def nbar(w: CoxElem) -> frozenset:
-    """Inversion set of w: the odd-coefficient support of N(lift(w))."""
-    inv = eval_N(lift(w)).odd_support()
-    assert len(inv) == len(w)
+    """Inversion set of w, the t_i = w_1...w_i...w_1 of its reduced word."""
+    system = w.system
+    inv = frozenset(system._reflection(system._positive(r)) for r in _roots(system, (), w.word))
+    if len(inv) != len(w):
+        raise CoxeterError(f"{w.word} is not a reduced word")
     return inv
 
 
@@ -217,13 +226,14 @@ def in_image_of_N(x: ZTVector) -> Optional[BraidWord]:
 
 
 def cocycle(v: CoxElem, w: CoxElem) -> ZTVector:
-    """c(v, w) = N(v) + v.N(w) - N(lift of vw) = N(lift(v) lift(w) lift(vw)^-1);
-    always lies in 2ZT."""
+    """c(v, w) = N(v) + v.N(w) - N(lift of vw) = 2 (nbar(v) & v nbar(w) v^-1), as
+    nbar(vw) = nbar(v) ^ v nbar(w) v^-1 (Björner-Brenti, GTM 231, ch. 1): 2 at
+    each v t_i v^-1, t_i of w's word, whose root v(b_i) is negative."""
     if v.system != w.system:
         raise CoxeterError("elements of different Coxeter systems")
-    value = eval_N(lift(v) * lift(w) * lift(v * w).inv())
-    assert value.all_even()
-    return value
+    system = v.system
+    roots = [(system._positive(r), r) for r in _roots(system, v.word, w.word)]
+    return ZTVector(system, {system._reflection(p): 2 for p, r in roots if p != r})
 
 
 def splitting_parity_witness(system: CoxeterSystem) -> dict:

@@ -3,9 +3,9 @@
 N(b) is read off its definition: letter i of b contributes e_i times the
 reflection p_i s_i p_i^-1, p_i the element spelled by the letters before it,
 and both p_i and the reflection are `CoxElem` normal forms.  No root or frame
-is read, so this checks `CoxeterSystem._fold_Np`, and with it `eval_N`,
-`cocycle` and `soundness_report`, by another route.  Each letter costs a
-normal form of its prefix: this is for short words.
+is read, so this checks `CoxeterSystem._fold_Np`, and with it `eval_N` and
+`soundness_report`, and the roots `cocycle` reads, by another route.  Each
+letter costs a normal form of its prefix: this is for short words.
 """
 
 from __future__ import annotations

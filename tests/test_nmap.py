@@ -4,7 +4,7 @@ import pytest
 
 from paper_claims import monoid_monotonicity_check
 from purebraid.braid import BraidWord, lift
-from purebraid.coxeter import CoxeterError, is_reflection, named_system, reflections
+from purebraid.coxeter import CoxElem, CoxeterError, is_reflection, named_system, reflections
 from purebraid.nmap import (
     ZTVector,
     cocycle,
@@ -69,6 +69,33 @@ def test_nbar_is_the_inversion_set():
             assert is_reflection(t)
     # injectivity
     assert len({nbar(w) for w in system.elements()}) == 24
+
+
+def test_nbar_rejects_a_word_that_is_not_reduced():
+    # a raise, not an assert, so the check holds under python -O too
+    system = named_system("A3")
+    for word in ((0, 0), (0, 1, 0, 1, 0, 1), (2, 1, 0, 1, 1)):
+        with pytest.raises(CoxeterError):
+            nbar(CoxElem(system, word))
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "H3", "E8", "Atilde2"])
+def test_cocycle_and_nbar_build_no_braid_word(name, monkeypatch):
+    # both are read off the roots of w's letters: with BraidWord switched
+    # off, they still agree with the values computed through braid words
+    system, rng = named_system(name), random.Random(26)
+    elements = [system.normal_form([rng.randrange(system.rank) for _ in range(8)])
+                for _ in range(12)]
+    pairs = list(zip(elements, reversed(elements)))
+    expected = [eval_N(lift(v) * lift(w) * lift(v * w).inv()) for v, w in pairs]
+    inversions = [eval_N(lift(v)).odd_support() for v in elements]
+
+    def braid_word(self, *args):
+        raise AssertionError("a braid word was built")
+
+    monkeypatch.setattr(BraidWord, "__init__", braid_word)
+    assert [cocycle(v, w) for v, w in pairs] == expected
+    assert [nbar(v) for v in elements] == inversions
 
 
 def test_admissibility_roundtrip_A2():

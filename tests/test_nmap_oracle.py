@@ -8,7 +8,7 @@ import pytest
 import nmap_oracle
 from purebraid.braid import BraidWord, lift
 from purebraid.coxeter import named_system, system_from_json
-from purebraid.nmap import _letter_images, cocycle, equal_mod_derived, eval_N
+from purebraid.nmap import _letter_images, cocycle, equal_mod_derived, eval_N, nbar
 
 # I2(5), H3 and H4 compute over Z[2cos(pi/5)]; Atilde2 and the triangle with
 # the infinite bond m(s2, s3) are infinite
@@ -34,11 +34,19 @@ def test_eval_N_and_cocycle_match_the_oracle(name):
         for other in (b2, b2 * b2.inv() * b, b.inv().inv()):
             assert equal_mod_derived(b, other) == \
                 (nmap_oracle.eval_Np(b) == nmap_oracle.eval_Np(other))
-    for _ in range(10):
+    # the oracle's cocycle is three letter-by-letter N's of normal forms, so
+    # it checks the cocycle's roots by another route; random words have up to
+    # 10 letters, and up to 5 in the infinite systems
+    e, cap = system.identity, 10 if system.is_finite() else 5
+    for _ in range(40):
         v, w = (system.normal_form([rng.randrange(system.rank)
-                                    for _ in range(rng.randrange(6))]) for _ in "vw")
-        assert cocycle(v, w) == nmap_oracle.cocycle(v, w)
-    assert cocycle(system.identity, system.identity).is_zero()
+                                    for _ in range(rng.randrange(cap + 1))]) for _ in "vw")
+        for pair in ((v, w), (e, w), (v, e), (v, v.inv())):
+            assert cocycle(*pair) == nmap_oracle.cocycle(*pair)
+        N_v = nmap_oracle.eval_N(lift(v))
+        assert cocycle(v, v.inv()) == N_v.scale(2)
+        assert nbar(v) == N_v.odd_support()
+    assert cocycle(e, e).is_zero()
 
 
 @pytest.mark.parametrize("name", ["A3", "B3", "H3", "D4", "I2(5)", "Atilde2", "7-3-inf"])
