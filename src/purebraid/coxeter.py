@@ -26,12 +26,14 @@ and non-crystallographic types included.  The walk of the I-reduced elements
 W^I (`enumerate_elements`) is also the coset table of `schreier`, for any I:
 asked to, it records each step it takes (`_levels`); it keys its levels by
 the vectors r s, so it takes them one letter at a time, each a new tuple
-(`step`).  The same walk reads the positive roots w(a_s), and with them the
-reflections (`reflections`), off the frame of w: the roots w(a_j), one step
-from the frame of a prefix.  (N, p): B_W -> ZT x| W is folded over roots
-and coset vectors alone, in one place (`CoxeterSystem._fold_Np`), for `nmap`
-and for the certificate of `schreier`: the vector at I = () determines w,
-the height functional lying inside the fundamental chamber.
+(`step`).  The positive roots, and with them the reflections
+(`reflections`), are raised one depth at a time from the simple roots, and
+each is lowered back to a simple one to read off its least witness
+(`CoxeterSystem._witness`); only the walk of W^I for I nonempty reads them
+off the frames w(a_j) of its elements.  (N, p): B_W -> ZT x| W is folded
+over roots and coset vectors alone, in one place (`CoxeterSystem._fold_Np`),
+for `nmap` and for the certificate of `schreier`: the vector at I = ()
+determines w, the height functional lying inside the fundamental chamber.
 
 Finiteness is decided exactly from the Coxeter graph by the classification
 of the finite Coxeter groups (Coxeter 1935; Humphreys, Reflection Groups and
@@ -529,26 +531,39 @@ class CoxeterSystem:
         x = next(x for x in root if x != ring.zero)
         return root if ring.sign(x) > 0 else tuple(ring.neg(y) for y in root)
 
-    def _reflection(self, root: tuple) -> "CoxElem":
-        """The reflection u s u^-1 of a positive root u(a_s), u read off by
-        lowering the root to a simple one: a positive root that is not simple
-        has a simple reflection t that lowers its coordinate at t and keeps
-        it positive (Björner-Brenti, GTM 231, 4.6).  s_t changes only the
-        coordinate at t, so each candidate t costs that coordinate alone,
-        and the first t that lowers it writes it into the root in place."""
+    def _witness(self, root: tuple) -> Tuple[tuple, int]:
+        """The least (u, s), by length of u, then ShortLex, with root =
+        u(a_s) and us longer than u, read off by lowering the root to a
+        simple one.  A simple reflection moves the depth of a positive root
+        by at most one, and a root of depth d > 1 has a t that lowers it to
+        depth d - 1, keeping it positive (Björner-Brenti, GTM 231, 4.6); the
+        least such t at each step spells the ShortLex word of u.  s_t
+        changes only the coordinate at t, so each candidate t costs that
+        coordinate alone, and the first t that lowers it writes it into the
+        root in place.  A vector that is not a positive root (a negative
+        coordinate, no t that lowers it to a nonnegative one, or an end at
+        c a_s with c != 1) raises CoxeterError."""
         ring, rows = self._cartan_rows()
-        unit, u, root = ring.const(ring.one), [], list(root)
-        while sum(x != ring.zero for x in root) > 1:
+        unit, u, v = ring.const(ring.one), [], list(root)
+        while sum(x != ring.zero for x in v) > 1:
             for t, row in enumerate(rows):
-                y = ring.neg(root[t])
+                y = ring.neg(v[t])
                 for j, a in row:
-                    y = ring.submul(y, a, root[j])
-                if ring.sign(ring.submul(root[t], unit, y)) > 0:
-                    root[t] = y
-                    u.append(t)
+                    y = ring.submul(y, a, v[j])
+                if ring.sign(ring.submul(v[t], unit, y)) > 0 <= ring.sign(y):
                     break
-        s = next(j for j, x in enumerate(root) if x != ring.zero)
-        return self.normal_form(tuple(u) + (s,) + tuple(reversed(u)))
+            else:
+                break
+            v[t] = y
+            u.append(t)
+        if tuple(v) not in self._frame():
+            raise CoxeterError(f"{root} is not a positive root")
+        return tuple(u), self._frame().index(tuple(v))
+
+    def _reflection(self, root: tuple) -> "CoxElem":
+        """The reflection u s u^-1 of a positive root u(a_s) (`_witness`)."""
+        u, s = self._witness(root)
+        return self.normal_form(u + (s,) + u[::-1])
 
     def _fold_Np(self, images: Iterable[tuple]) -> tuple:
         """(N, p) of a product of images ({positive root: coefficient}, a
@@ -636,30 +651,35 @@ class CoxeterSystem:
     def _root_walk(self, I: Iterable[int], max_length: Optional[int]) -> dict:
         """{b(a_s): (b, s)}: per positive root b(a_s) with b in W^I of length
         <= max_length and b s longer and I-reduced (r_s > 0 on the coset
-        vector r of b), the least (b, s) by length of b, then ShortLex; b is
-        a CoxElem.  The frame of b (`_frame_step`) is one step from that of
-        its longest proper prefix, one level below.  With I empty, the walk
-        stops at the first level that adds no root: the roots of depth d
-        appear at level d - 1, and a simple reflection lowers a root of
-        depth d > 1 to depth d - 1 (`_reflection`), so no later level adds
-        one."""
+        vector r of b), the least (b, s) by length of b, then ShortLex, then
+        s, in that order; b is a CoxElem.
+
+        With I empty these are the roots of depth <= max_length + 1, raised
+        one depth at a time from the simple roots: s_t raises a root of depth
+        d to depth d + 1 iff it raises its coordinate at t (`_witness`), so
+        each depth is read off the one below, and each root's least (b, s)
+        is its `_witness`.  With I nonempty the least witness in W^I is not
+        a lowering path, so the walk of W^I reads b(a_s) off the frame of
+        each b (`_frames`)."""
         if max_length is None and not self.is_finite():
             raise CoxeterError("max_length required for an infinite system")
         ring, _ = self._cartan_rows()
         I = frozenset(I)
-        best, below = {}, {}
-        for level in self._levels(I, max_length):
-            found, frames = len(best), {}
-            for r, b in level.items():
-                frames[b] = self._frame_step(below[b[:-1]], b[-1]) if b else self._frame()
-                for s in range(self.rank):
-                    if ring.sign(r[s]) > 0:
-                        root = frames[b][s]
-                        if root not in best:
-                            best[root] = CoxElem(self, b), s
-            if not I and len(best) == found:
-                break
-            below = frames
+        if not I:
+            unit, found, level, length = ring.const(ring.one), [], set(self._frame()), 0
+            while level and (max_length is None or length <= max_length):
+                found += sorted((self._witness(root), root) for root in level)
+                level = {up for root in level for t in range(self.rank)
+                         for up in [self._act((t,), root)]
+                         if ring.sign(ring.submul(up[t], unit, root[t])) > 0}
+                length += 1
+            return {root: (CoxElem(self, u), s) for (u, s), root in found}
+        walk = [item for level in self._levels(I, max_length) for item in level.items()]
+        frames, best = self._frames(b for _, b in walk), {}
+        for r, b in walk:
+            for s in range(self.rank):
+                if ring.sign(r[s]) > 0:
+                    best.setdefault(frames[b][s], (CoxElem(self, b), s))
         return best
 
     def elements(self) -> list:
@@ -870,8 +890,9 @@ def reflections(system: CoxeterSystem, max_length: Optional[int] = None) -> list
     A reflection t = b s b^-1 is read off its positive root b(a_s): every
     b with this root has l(t) <= 2 l(b) + 1, with equality at the u of a
     palindromic reduced word u s u~ of t (Dyer).  So the least (b, s) per
-    root that `CoxeterSystem._root_walk` keeps, walking b up to length
-    (max_length - 1) // 2, is the half of the ShortLex-least palindrome.
+    root, which `CoxeterSystem._root_walk` reads off the roots of depth
+    <= (max_length - 1) // 2 + 1, is the half of the ShortLex-least
+    palindrome.
     """
     half = None if max_length is None else (max_length - 1) // 2
     refls = [Reflection(system.normal_form(b.word + (s,) + b.word[::-1]), b, s)

@@ -245,8 +245,9 @@ def minimal_generating_set(system: CoxeterSystem, I,
     (then ShortLex-least) base; these already generate D_I together with I.
 
     b s is I-reduced, so the reflection lies outside W_I; it is keyed by its
-    positive root b(a_s) (`CoxeterSystem._root_walk`), which keeps the
-    generators in symbol_key order."""
+    positive root b(a_s) (`CoxeterSystem._root_walk`: for I empty the root
+    poset, each root with its lowering witness; else the walk of W^I),
+    which keeps the generators in symbol_key order."""
     return [pure_symbol(b, s) for b, s in system._root_walk(I, max_length).values()]
 
 

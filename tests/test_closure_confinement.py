@@ -7,11 +7,14 @@ methods that multiply, invert and conjugate, and `reduced_words` is called
 only where reduced words are what is asked for.  A swap of the element
 kernel then stays inside `CoxeterSystem`/`CoxElem`.
 
-Frames are stepped in `coxeter` alone, by the root walk and by the frames
-of a set of words.  A word acts on a root (`_act`) and on the coset vector
-(the ring's `walk`) in `coxeter` alone too: in the one (N, p) fold
-`CoxeterSystem._fold_Np`, in `_root`, and in the walks of the element
-kernel, so that no second (N, p) evaluator grows in `nmap` or `schreier`.
+Frames are stepped in one place, the frames of a set of words
+(`CoxeterSystem._frames`).  A word acts on a root (`_act`) and on the coset
+vector (the ring's `walk`) in `coxeter` alone too: in the one (N, p) fold
+`CoxeterSystem._fold_Np`, in `_root`, in the root poset of `_root_walk`,
+which raises a root by one simple reflection, and in the walks of the
+element kernel, so that no second (N, p) evaluator grows in `nmap` or
+`schreier`.  A root is lowered to its witness in one place, `_witness`,
+for the reflection of a root and for the root poset.
 """
 
 import ast
@@ -28,15 +31,17 @@ SHORTLEX_SCOPES = {
     "coxeter.CoxElem.conj",
 }
 REDUCED_WORDS_SCOPES = set()
-FRAME_STEP_SCOPES = {
-    "coxeter.CoxeterSystem._root_walk",
-    "coxeter.CoxeterSystem._frames",
-}
+FRAME_STEP_SCOPES = {"coxeter.CoxeterSystem._frames"}
 ACT_AND_WALK_SCOPES = {
     "coxeter.CoxeterSystem._fold_Np",
     "coxeter.CoxeterSystem._root",
+    "coxeter.CoxeterSystem._root_walk",
     "coxeter.CoxeterSystem._vector",
     "coxeter.CoxeterSystem._shortlex",
+}
+WITNESS_SCOPES = {
+    "coxeter.CoxeterSystem._reflection",
+    "coxeter.CoxeterSystem._root_walk",
 }
 
 
@@ -101,6 +106,10 @@ def test_frames_are_stepped_only_in_coxeter():
 
 def test_words_act_on_roots_and_vectors_only_in_coxeter():
     assert _package_scopes({"_act", "walk"}, methods_only=True) == ACT_AND_WALK_SCOPES
+
+
+def test_roots_are_lowered_only_by_the_reflection_and_the_root_poset():
+    assert _package_scopes({"_witness"}, calls_only=True) == WITNESS_SCOPES
 
 
 def test_detects_uses_outside_the_allowed_scopes():

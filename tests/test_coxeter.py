@@ -28,6 +28,7 @@ from purebraid.coxeter import (
     subsystem,
     system_from_json,
 )
+from purebraid.schreier import minimal_generating_set, pure_symbol
 
 
 def test_named_system_orders():
@@ -479,11 +480,12 @@ def test_reflections_are_the_filter_of_W(name):
         == _with_witnesses(_reflections_by_filter(system))
 
 
-def _root_walk_every_level(system):
-    """`CoxeterSystem._root_walk((), None)` without its early stop: every
-    level of W walked, each frame stepped from its prefix's."""
+def _root_walk_every_level(system, max_length=None):
+    """`CoxeterSystem._root_walk((), max_length)` read off the walk of W:
+    every level up to max_length walked, each frame stepped from its
+    prefix's, the first (b, s) kept per root."""
     ring, _ = system._cartan_rows()
-    levels = list(system._levels(frozenset(), None))
+    levels = list(system._levels(frozenset(), max_length))
     frames = system._frames(b for level in levels for b in level.values())
     best = {}
     for level in levels:
@@ -494,26 +496,57 @@ def _root_walk_every_level(system):
     return best
 
 
-@pytest.mark.parametrize("name", ["H4", "E6"])
-def test_root_walk_stops_early_with_the_same_roots(name):
-    # the reflection digests do not pin H4 and E6
-    system = named_system(name)
-    walk = system._root_walk((), None)
-    assert list(walk.items()) == list(_root_walk_every_level(system).items())
-    assert len(walk) == {"H4": 60, "E6": 36}[name]
+@pytest.mark.parametrize("system, lengths", [
+    (named_system("H4"), [None]),
+    (named_system("E6"), [None]),
+    (named_system("E8"), range(-1, 6)),
+    *((system, range(-1, 9)) for system in (
+        named_system("Atilde2"), _triangle(7, None, 2), _triangle(7, 3, None),
+        _triangle(4, 4, 3), _triangle(5, 5, 5))),
+], ids=["H4", "E6", "E8", "Atilde2", "7-inf-2", "7-3-inf", "4-4-3", "5-5-5"])
+def test_root_poset_gives_the_roots_of_the_walk_of_W(system, lengths, monkeypatch):
+    # the reflection digests do not pin H4, E6 and E8; the roots raised from
+    # the simple ones, each with its lowering witness, are those the walk of
+    # W finds first, in the same order, and the poset walks no level of W
+    expected = {h: list(_root_walk_every_level(system, h).items()) for h in lengths}
+
+    def walk_of_W(*args):
+        raise AssertionError("the root poset walked W")
+
+    monkeypatch.setattr(CoxeterSystem, "_levels", walk_of_W)
+    for h, items in expected.items():
+        assert list(system._root_walk((), h).items()) == items, h
+        assert minimal_generating_set(system, (), h) \
+            == [pure_symbol(b, s) for _, (b, s) in items], h
+    if None in expected:
+        assert len(expected[None]) == {"H4": 60, "E6": 36}[system.name]
 
 
-@pytest.mark.parametrize("name", ["A5", "B4", "D5", "F4", "E6", "H3", "H4", "I2(5)",
-                                  "I2(7)", "E8"])
+REFLECTION_COUNTS = {"A5": 15, "B4": 16, "D5": 20, "F4": 24, "E6": 36, "H3": 15,
+                     "H4": 60, "I2(5)": 5, "I2(7)": 7, "E8": 120}
+
+
+@pytest.mark.parametrize("name", list(REFLECTION_COUNTS))
 def test_reflection_of_a_root_is_its_palindrome(name):
     # `_reflection` lowers the root one coordinate at a time; the oracle is
-    # the normal form of b s b^-1 for the witness (b, s) of the root walk.
-    # E8's full walk is far too slow, so it is checked to length 5 (43 roots)
+    # the normal form of b s b^-1 for the witness (b, s) of the root walk,
+    # and `palindromize`, which reads each witness off the descents of its
+    # reflection, checks the witnesses apart from the roots
     system = named_system(name)
-    walk = system._root_walk((), 5 if name == "E8" else None)
-    assert len(walk) == (43 if name == "E8" else len(reflections(system)))
+    walk, refls = system._root_walk((), None), reflections(system)
+    assert len(walk) == len(refls) == REFLECTION_COUNTS[name]
     for root, (b, s) in walk.items():
         assert system._reflection(root) == system.normal_form(b.word + (s,) + b.word[::-1])
+    for r in refls:
+        assert (r.witness_u, r.witness_s) == palindromize(r.element)
+
+
+@pytest.mark.parametrize("vector", [(-1, -1), (1, -1), (2, 0), (2, 2)])
+def test_reflection_rejects_a_vector_that_is_not_a_positive_root(vector):
+    # a negative coordinate, no simple reflection that lowers it, or a
+    # multiple of a simple root other than itself
+    with pytest.raises(CoxeterError, match="not a positive root"):
+        named_system("A2")._reflection(vector)
 
 
 def test_reflections_of_affine_A2_at_every_max_length():
