@@ -27,13 +27,13 @@ W^I (`enumerate_elements`) is also the coset table of `schreier`, for any I:
 asked to, it records each step it takes (`_levels`); it keys its levels by
 the vectors r s, so it takes them one letter at a time, each a new tuple
 (`step`).  The positive roots, and with them the reflections
-(`reflections`), are raised one depth at a time from the simple roots, and
-each is lowered back to a simple one to read off its least witness
-(`CoxeterSystem._witness`); only the walk of W^I for I nonempty reads them
-off the frames w(a_j) of its elements.  (N, p): B_W -> ZT x| W is folded
-over roots and coset vectors alone, in one place (`CoxeterSystem._fold_Np`),
-for `nmap` and for the certificate of `schreier`: the vector at I = ()
-determines w, the height functional lying inside the fundamental chamber.
+(`reflections`), are raised one depth at a time from the simple roots, each
+with its least witness read off the root below it; only the walk of W^I for
+I nonempty reads them off the frames w(a_j) of its elements.  N reads the
+reflection of a letter s after a prefix x as the palindrome x s x^-1, one
+peel each (`CoxeterSystem._palindromes`).  (N, p): B_W -> ZT x| W is folded
+over roots and coset vectors alone (`CoxeterSystem._fold_Np`) to compare
+images in `nmap` and `schreier`: the vector at I = () determines w.
 
 Finiteness is decided exactly from the Coxeter graph by the classification
 of the finite Coxeter groups (Coxeter 1935; Humphreys, Reflection Groups and
@@ -531,39 +531,28 @@ class CoxeterSystem:
         x = next(x for x in root if x != ring.zero)
         return root if ring.sign(x) > 0 else tuple(ring.neg(y) for y in root)
 
-    def _witness(self, root: tuple) -> Tuple[tuple, int]:
-        """The least (u, s), by length of u, then ShortLex, with root =
-        u(a_s) and us longer than u, read off by lowering the root to a
-        simple one.  A simple reflection moves the depth of a positive root
-        by at most one, and a root of depth d > 1 has a t that lowers it to
-        depth d - 1, keeping it positive (Björner-Brenti, GTM 231, 4.6); the
-        least such t at each step spells the ShortLex word of u.  s_t
-        changes only the coordinate at t, so each candidate t costs that
-        coordinate alone, and the first t that lowers it writes it into the
-        root in place.  A vector that is not a positive root (a negative
-        coordinate, no t that lowers it to a nonnegative one, or an end at
-        c a_s with c != 1) raises CoxeterError."""
+    def _palindromes(self, prefix: Sequence[int], word: Iterable[int]) -> Iterator[tuple]:
+        """Per letter s of `word` read after `prefix`, (the sign of r_s, the
+        reflection x s x^-1 as a CoxElem), x spelled by `prefix` and the
+        letters before s, r its coset vector: the sign is -1 iff s is a right
+        descent of x.  r is stepped one letter at a time.  x s x^-1 = y s y^-1
+        for y the shorter of x and x s, and a palindrome is its own inverse,
+        so its ShortLex word is the peel of the vector of y walked on by s
+        and y^-1.  The word y is kept reduced: x s when s raises x, else the
+        reverse of the peel of the vector of x s.  A letter then costs
+        O(l(x)) steps however long the word read so far."""
         ring, rows = self._cartan_rows()
-        unit, u, v = ring.const(ring.one), [], list(root)
-        while sum(x != ring.zero for x in v) > 1:
-            for t, row in enumerate(rows):
-                y = ring.neg(v[t])
-                for j, a in row:
-                    y = ring.submul(y, a, v[j])
-                if ring.sign(ring.submul(v[t], unit, y)) > 0 <= ring.sign(y):
-                    break
-            else:
-                break
-            v[t] = y
-            u.append(t)
-        if tuple(v) not in self._frame():
-            raise CoxeterError(f"{root} is not a positive root")
-        return tuple(u), self._frame().index(tuple(v))
-
-    def _reflection(self, root: tuple) -> "CoxElem":
-        """The reflection u s u^-1 of a positive root u(a_s) (`_witness`)."""
-        u, s = self._witness(root)
-        return self.normal_form(u + (s,) + u[::-1])
+        x, r = tuple(prefix), self._vector(prefix)
+        for s in word:
+            sign, rs = ring.sign(r[s]), ring.walk(r, (s,), rows)
+            if sign > 0:  # y = x, of vector r
+                y, x = x, x + (s,)
+            else:  # y = x s, of vector rs
+                r = rs
+                x = y = tuple(ring.peel(ring.walk(r, (), rows), rows, len(x)))[::-1]
+            t = ring.peel(ring.walk(r, (s,) + y[::-1], rows), rows, 2 * len(y) + 1)
+            r = rs
+            yield sign, CoxElem(self, t)
 
     def _fold_Np(self, images: Iterable[tuple]) -> tuple:
         """(N, p) of a product of images ({positive root: coefficient}, a
@@ -655,25 +644,30 @@ class CoxeterSystem:
         s, in that order; b is a CoxElem.
 
         With I empty these are the roots of depth <= max_length + 1, raised
-        one depth at a time from the simple roots: s_t raises a root of depth
-        d to depth d + 1 iff it raises its coordinate at t (`_witness`), so
-        each depth is read off the one below, and each root's least (b, s)
-        is its `_witness`.  With I nonempty the least witness in W^I is not
-        a lowering path, so the walk of W^I reads b(a_s) off the frame of
-        each b (`_frames`)."""
+        one depth at a time from the simple roots: s_t moves the depth of a
+        positive root by at most one, raising it iff it raises its coordinate
+        at t (Björner-Brenti, GTM 231, 4.6).  So the least (b, s) of a root is
+        its least lowering t, the first t that raises a root below to it,
+        followed by the least (b, s) of that root.  With I nonempty the least
+        witness in W^I is not a lowering path, so the walk of W^I reads
+        b(a_s) off the frame of each b (`_frames`)."""
         if max_length is None and not self.is_finite():
             raise CoxeterError("max_length required for an infinite system")
         ring, _ = self._cartan_rows()
         I = frozenset(I)
         if not I:
-            unit, found, level, length = ring.const(ring.one), [], set(self._frame()), 0
+            unit, found, length = ring.const(ring.one), {}, 0
+            level = {root: ((), s) for s, root in enumerate(self._frame())}
             while level and (max_length is None or length <= max_length):
-                found += sorted((self._witness(root), root) for root in level)
-                level = {up for root in level for t in range(self.rank)
-                         for up in [self._act((t,), root)]
-                         if ring.sign(ring.submul(up[t], unit, root[t])) > 0}
-                length += 1
-            return {root: (CoxElem(self, u), s) for (u, s), root in found}
+                found.update(sorted(level.items(), key=lambda item: item[1]))
+                up = {}
+                for t in range(self.rank):
+                    for root, (u, s) in level.items():
+                        raised = self._act((t,), root)
+                        if ring.sign(ring.submul(raised[t], unit, root[t])) > 0:
+                            up.setdefault(raised, ((t,) + u, s))
+                level, length = up, length + 1
+            return {root: (CoxElem(self, u), s) for root, (u, s) in found.items()}
         walk = [item for level in self._levels(I, max_length) for item in level.items()]
         frames, best = self._frames(b for _, b in walk), {}
         for r, b in walk:

@@ -3,14 +3,15 @@
 N sends a signed word s1^e1 ... sk^ek to sum_i e_i * (s1...s_{i-1} s_i
 s_{i-1}...s1), and (N, p) is a group homomorphism into ZT x| W.  Its kernel is
 the derived subgroup of the pure braid group, which gives a decidable equality
-of braid words modulo D(P_W).  (N, p) is folded over positive roots, with
-the W-part as its coset vector, by `CoxeterSystem._fold_Np`, as in
-`schreier.soundness_report`, and `eval_N` keys its vector by reflections,
-one per root.  The mod-2 reduction of N on W is the inversion set;
-admissibility of a reflection subset is decided by inversion-set peeling
-rather than by root-coordinate closure (the two are equivalent, and peeling
-needs no algebraic-number arithmetic).  The cocycle is read off roots, with
-no braid word: c(v, w) = 2 (nbar(v) & v nbar(w) v^-1) (see `cocycle`).
+of braid words modulo D(P_W).  `eval_N`, `nbar` and `cocycle` read each
+letter's reflection as its prefix palindrome, as N is defined, and whether
+the letter is a right descent of its prefix (`CoxeterSystem._palindromes`);
+`equal_mod_derived` compares (N, p) folded over positive roots by
+`CoxeterSystem._fold_Np`, as `schreier.soundness_report` does.  The mod-2
+reduction of N on W is the inversion set; admissibility of a reflection
+subset is decided by inversion-set peeling rather than by root-coordinate
+closure (the two are equivalent, and peeling needs no algebraic-number
+arithmetic).  c(v, w) = 2 (nbar(v) & v nbar(w) v^-1) (see `cocycle`).
 """
 
 from __future__ import annotations
@@ -137,28 +138,23 @@ def _letter_images(b: BraidWord):
 
 def eval_N(b: BraidWord) -> ZTVector:
     """N(b) = sum_i e_i * (s1...s_{i-1} s_i s_{i-1}...s1)."""
-    system = b.system
-    roots, _ = system._fold_Np(_letter_images(b))
-    return ZTVector(system, {system._reflection(root): c for root, c in roots.items()})
+    system, coeffs = b.system, {}
+    palindromes = system._palindromes((), (s for s, _ in b.letters))
+    for (_, t), (_, e) in zip(palindromes, b.letters):
+        coeffs[t] = coeffs.get(t, 0) + e
+    return ZTVector(system, coeffs)
 
 
 def eval_Np(b: BraidWord) -> SemidirectElem:
     return SemidirectElem(eval_N(b), b.project())
 
 
-def _roots(system: CoxeterSystem, prefix: tuple, word: tuple):
-    """u(b_i), u spelled by `prefix`, b_i = w_1...w_{i-1}(a_{w_i}) the root of t_i."""
-    for i, s in enumerate(word):
-        yield system._root(prefix + word[:i], s)
-
-
 def nbar(w: CoxElem) -> frozenset:
     """Inversion set of w, the t_i = w_1...w_i...w_1 of its reduced word."""
-    system = w.system
-    inv = frozenset(system._reflection(system._positive(r)) for r in _roots(system, (), w.word))
-    if len(inv) != len(w):
+    palindromes = list(w.system._palindromes((), w.word))
+    if any(sign < 0 for sign, _ in palindromes):
         raise CoxeterError(f"{w.word} is not a reduced word")
-    return inv
+    return frozenset(t for _, t in palindromes)
 
 
 def equal_mod_derived(b: BraidWord, b2: BraidWord) -> bool:
@@ -228,12 +224,12 @@ def in_image_of_N(x: ZTVector) -> Optional[BraidWord]:
 def cocycle(v: CoxElem, w: CoxElem) -> ZTVector:
     """c(v, w) = N(v) + v.N(w) - N(lift of vw) = 2 (nbar(v) & v nbar(w) v^-1), as
     nbar(vw) = nbar(v) ^ v nbar(w) v^-1 (Björner-Brenti, GTM 231, ch. 1): 2 at
-    each v t_i v^-1, t_i of w's word, whose root v(b_i) is negative."""
+    each v t_i v^-1 = x w_i x^-1, t_i of w's word and x = v w_1...w_{i-1},
+    where w_i is a right descent of x (the root v(b_i) is negative)."""
     if v.system != w.system:
         raise CoxeterError("elements of different Coxeter systems")
-    system = v.system
-    roots = [(system._positive(r), r) for r in _roots(system, v.word, w.word)]
-    return ZTVector(system, {system._reflection(p): 2 for p, r in roots if p != r})
+    return ZTVector(v.system, {t: 2 for sign, t in v.system._palindromes(v.word, w.word)
+                               if sign < 0})
 
 
 def splitting_parity_witness(system: CoxeterSystem) -> dict:

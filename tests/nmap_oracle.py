@@ -1,36 +1,82 @@
-"""(N, p) letter by letter, an oracle for the fold of `purebraid.coxeter`.
+"""N, nbar and the cocycle by way of positive roots, an oracle for `nmap`.
 
-N(b) is read off its definition: letter i of b contributes e_i times the
-reflection p_i s_i p_i^-1, p_i the element spelled by the letters before it,
-and both p_i and the reflection are `CoxElem` normal forms.  No root or frame
-is read, so this checks `CoxeterSystem._fold_Np`, and with it `eval_N` and
-`soundness_report`, and the roots `cocycle` reads, by another route.  Each
-letter costs a normal form of its prefix: this is for short words.
+The package reads the reflection of each letter off its prefix palindrome
+(`CoxeterSystem._palindromes`).  This oracle takes the other route: it
+turns each letter into a positive root, the fold's roots
+(`CoxeterSystem._fold_Np`) for N and the roots x(a_s) of the prefixes x
+for nbar, lowers each root to its least witness (u, s) by simple
+reflections (`witness`), and takes the normal form of the witness
+palindrome u s u^-1 (`reflection`).  The cocycle is its definition
+N(v) + v.N(w) - N(lift of vw), three of those N's.  No prefix palindrome is
+read, so this checks `eval_N`, `nbar` and `cocycle` by another route.  The
+fold costs O(n^2 rank) over n letters: this is for words of a few hundred
+letters at most.
 """
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Tuple
 
 from purebraid.braid import BraidWord, lift
-from purebraid.coxeter import CoxElem
-from purebraid.nmap import SemidirectElem, ZTVector
+from purebraid.coxeter import CoxElem, CoxeterError, CoxeterSystem
+from purebraid.nmap import SemidirectElem, ZTVector, _letter_images
+
+
+def witness(system: CoxeterSystem, root: tuple) -> Tuple[tuple, int]:
+    """The least (u, s), by length of u, then ShortLex, with root = u(a_s)
+    and us longer than u, read off by lowering the root to a simple one.  A
+    simple reflection moves the depth of a positive root by at most one, and
+    a root of depth d > 1 has a t that lowers it to depth d - 1, keeping it
+    positive (Björner-Brenti, GTM 231, 4.6); the least such t at each step
+    spells the ShortLex word of u.  s_t changes only the coordinate at t, so
+    each candidate t costs that coordinate alone.  A vector that is not a
+    positive root (a negative coordinate, no t that lowers it to a
+    nonnegative one, or an end at c a_s with c != 1) raises CoxeterError."""
+    ring, rows = system._cartan_rows()
+    unit, u, v = ring.const(ring.one), [], list(root)
+    while sum(x != ring.zero for x in v) > 1:
+        for t, row in enumerate(rows):
+            y = ring.neg(v[t])
+            for j, a in row:
+                y = ring.submul(y, a, v[j])
+            if ring.sign(ring.submul(v[t], unit, y)) > 0 <= ring.sign(y):
+                break
+        else:
+            break
+        v[t] = y
+        u.append(t)
+    if tuple(v) not in system._frame():
+        raise CoxeterError(f"{root} is not a positive root")
+    return tuple(u), system._frame().index(tuple(v))
+
+
+def reflection(system: CoxeterSystem, root: tuple) -> CoxElem:
+    """The reflection u s u^-1 of a positive root u(a_s) (`witness`)."""
+    u, s = witness(system, root)
+    return system.normal_form(u + (s,) + u[::-1])
 
 
 def eval_N(b: BraidWord) -> ZTVector:
-    """N(b) = sum_i e_i * (s1...s_{i-1} s_i s_{i-1}...s1)."""
+    """N(b) from the fold's {positive root: coefficient}."""
     system = b.system
-    coeffs: Dict[CoxElem, int] = {}
-    prefix = system.identity
-    for s, e in b.letters:
-        t = prefix.conj(system.gen(s))
-        coeffs[t] = coeffs.get(t, 0) + e
-        prefix = prefix * system.gen(s)
-    return ZTVector(system, coeffs)
+    roots, _ = system._fold_Np(_letter_images(b))
+    return ZTVector(system, {reflection(system, root): c for root, c in roots.items()})
 
 
 def eval_Np(b: BraidWord) -> SemidirectElem:
     return SemidirectElem(eval_N(b), b.project())
+
+
+def nbar(w: CoxElem) -> frozenset:
+    """The reflections of the roots w_1...w_{i-1}(a_{w_i}), each positive as
+    w's word is reduced."""
+    system, inv = w.system, set()
+    for i, s in enumerate(w.word):
+        root = system._root(w.word[:i], s)
+        if root != system._positive(root):
+            raise CoxeterError(f"{w.word} is not a reduced word")
+        inv.add(reflection(system, root))
+    return frozenset(inv)
 
 
 def cocycle(v: CoxElem, w: CoxElem) -> ZTVector:

@@ -11,10 +11,13 @@ Frames are stepped in one place, the frames of a set of words
 (`CoxeterSystem._frames`).  A word acts on a root (`_act`) and on the coset
 vector (the ring's `walk`) in `coxeter` alone too: in the one (N, p) fold
 `CoxeterSystem._fold_Np`, in `_root`, in the root poset of `_root_walk`,
-which raises a root by one simple reflection, and in the walks of the
-element kernel, so that no second (N, p) evaluator grows in `nmap` or
-`schreier`.  A root is lowered to its witness in one place, `_witness`,
-for the reflection of a root and for the root poset.
+which raises a root by one simple reflection, in the prefix palindromes of
+`_palindromes`, and in the walks of the element kernel, so that no second
+(N, p) evaluator grows in `nmap` or `schreier`.  N, nbar and the cocycle
+each read prefix palindromes and nothing else, and the fold serves only the
+comparisons of images under (N, p).  No root is lowered back to its
+witness in the package: the root poset gives a raised root its witness
+from its parent, and the lowering lives on as the test oracle `nmap_oracle`.
 """
 
 import ast
@@ -34,15 +37,18 @@ REDUCED_WORDS_SCOPES = set()
 FRAME_STEP_SCOPES = {"coxeter.CoxeterSystem._frames"}
 ACT_AND_WALK_SCOPES = {
     "coxeter.CoxeterSystem._fold_Np",
+    "coxeter.CoxeterSystem._palindromes",
     "coxeter.CoxeterSystem._root",
     "coxeter.CoxeterSystem._root_walk",
     "coxeter.CoxeterSystem._vector",
     "coxeter.CoxeterSystem._shortlex",
 }
-WITNESS_SCOPES = {
-    "coxeter.CoxeterSystem._reflection",
-    "coxeter.CoxeterSystem._root_walk",
-}
+WITNESS_SCOPES = set()
+# the scopes that name them, their definitions included
+PALINDROME_SCOPES = {"coxeter.CoxeterSystem._palindromes",
+                     "nmap.eval_N", "nmap.nbar", "nmap.cocycle"}
+FOLD_SCOPES = {"coxeter.CoxeterSystem._fold_Np",
+               "nmap.equal_mod_derived", "schreier.soundness_report"}
 
 
 def _name_of(node):
@@ -108,8 +114,15 @@ def test_words_act_on_roots_and_vectors_only_in_coxeter():
     assert _package_scopes({"_act", "walk"}, methods_only=True) == ACT_AND_WALK_SCOPES
 
 
-def test_roots_are_lowered_only_by_the_reflection_and_the_root_poset():
+def test_no_root_is_lowered_in_the_package():
     assert _package_scopes({"_witness"}, calls_only=True) == WITNESS_SCOPES
+
+
+def test_N_nbar_and_the_cocycle_read_prefix_palindromes_alone():
+    assert _package_scopes({"_palindromes"}) == PALINDROME_SCOPES
+    assert _package_scopes({"_fold_Np"}) == FOLD_SCOPES
+    assert _package_scopes({"_reflection", "_roots", "_root", "_positive"}) \
+        .isdisjoint(PALINDROME_SCOPES)
 
 
 def test_detects_uses_outside_the_allowed_scopes():

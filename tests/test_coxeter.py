@@ -8,6 +8,7 @@ import weakref
 import pytest
 
 import closure_oracle
+import nmap_oracle
 from paper_claims import in_parabolic, make_reflection
 from purebraid.coxeter import (
     CoxElem,
@@ -528,15 +529,18 @@ REFLECTION_COUNTS = {"A5": 15, "B4": 16, "D5": 20, "F4": 24, "E6": 36, "H3": 15,
 
 @pytest.mark.parametrize("name", list(REFLECTION_COUNTS))
 def test_reflection_of_a_root_is_its_palindrome(name):
-    # `_reflection` lowers the root one coordinate at a time; the oracle is
-    # the normal form of b s b^-1 for the witness (b, s) of the root walk,
-    # and `palindromize`, which reads each witness off the descents of its
-    # reflection, checks the witnesses apart from the roots
+    # the oracle's `reflection` lowers the root one coordinate at a time; it
+    # is the normal form of b s b^-1 for the witness (b, s) that the root
+    # poset reads off each root's parent, and `palindromize`, which reads
+    # each witness off the descents of its reflection, checks the witnesses
+    # apart from the roots
     system = named_system(name)
     walk, refls = system._root_walk((), None), reflections(system)
     assert len(walk) == len(refls) == REFLECTION_COUNTS[name]
     for root, (b, s) in walk.items():
-        assert system._reflection(root) == system.normal_form(b.word + (s,) + b.word[::-1])
+        assert nmap_oracle.witness(system, root) == (b.word, s)
+        assert nmap_oracle.reflection(system, root) \
+            == system.normal_form(b.word + (s,) + b.word[::-1])
     for r in refls:
         assert (r.witness_u, r.witness_s) == palindromize(r.element)
 
@@ -546,7 +550,7 @@ def test_reflection_rejects_a_vector_that_is_not_a_positive_root(vector):
     # a negative coordinate, no simple reflection that lowers it, or a
     # multiple of a simple root other than itself
     with pytest.raises(CoxeterError, match="not a positive root"):
-        named_system("A2")._reflection(vector)
+        nmap_oracle.reflection(named_system("A2"), vector)
 
 
 def test_reflections_of_affine_A2_at_every_max_length():

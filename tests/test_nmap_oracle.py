@@ -1,4 +1,5 @@
-"""The (N, p) fold against the letter-by-letter oracle `nmap_oracle`."""
+"""N, nbar and the cocycle against the root-lowering oracle `nmap_oracle`,
+and the (N, p) fold against the package's N."""
 
 import json
 import random
@@ -8,7 +9,7 @@ import pytest
 import nmap_oracle
 from purebraid.braid import BraidWord, lift
 from purebraid.coxeter import named_system, system_from_json
-from purebraid.nmap import _letter_images, cocycle, equal_mod_derived, eval_N, nbar
+from purebraid.nmap import _letter_images, cocycle, equal_mod_derived, eval_N, eval_Np, nbar
 
 # I2(5), H3 and H4 compute over Z[2cos(pi/5)]; Atilde2 and the triangle with
 # the infinite bond m(s2, s3) are infinite
@@ -31,12 +32,13 @@ def test_eval_N_and_cocycle_match_the_oracle(name):
     for b in _braids(system, rng):
         assert eval_N(b) == nmap_oracle.eval_N(b)
         b2 = b * BraidWord(system, [(rng.randrange(system.rank), 1)])
+        # the fold is checked against the package's N, read off prefix
+        # palindromes, so that it is never its own oracle
         for other in (b2, b2 * b2.inv() * b, b.inv().inv()):
-            assert equal_mod_derived(b, other) == \
-                (nmap_oracle.eval_Np(b) == nmap_oracle.eval_Np(other))
-    # the oracle's cocycle is three letter-by-letter N's of normal forms, so
-    # it checks the cocycle's roots by another route; random words have up to
-    # 10 letters, and up to 5 in the infinite systems
+            assert equal_mod_derived(b, other) == (eval_Np(b) == eval_Np(other))
+    # the oracle's cocycle is three N's of lifts, each read off the fold's
+    # roots, so it checks the cocycle's palindromes by another route; random
+    # words have up to 10 letters, and up to 5 in the infinite systems
     e, cap = system.identity, 10 if system.is_finite() else 5
     for _ in range(40):
         v, w = (system.normal_form([rng.randrange(system.rank)
@@ -45,8 +47,23 @@ def test_eval_N_and_cocycle_match_the_oracle(name):
             assert cocycle(*pair) == nmap_oracle.cocycle(*pair)
         N_v = nmap_oracle.eval_N(lift(v))
         assert cocycle(v, v.inv()) == N_v.scale(2)
-        assert nbar(v) == N_v.odd_support()
+        assert nbar(v) == nmap_oracle.nbar(v) == N_v.odd_support()
     assert cocycle(e, e).is_zero()
+
+
+@pytest.mark.parametrize("name, letters", [("E8", 200), ("H4", 100)])
+def test_long_words_match_the_oracle(name, letters):
+    # prefixes that go up and come down many times: the prefix is peeled
+    # again at each descent, and w0 caps its length (120 in E8, 60 in H4)
+    system, rng = SYSTEMS[name], random.Random(28)
+    for _ in range(4):
+        b = BraidWord(system, [(rng.randrange(system.rank), rng.choice((1, -1)))
+                               for _ in range(letters)])
+        assert eval_N(b) == nmap_oracle.eval_N(b)
+        v, w = (system.normal_form([rng.randrange(system.rank) for _ in range(letters)])
+                for _ in "vw")
+        assert cocycle(v, w) == nmap_oracle.cocycle(v, w)
+        assert nbar(v) == nmap_oracle.nbar(v)
 
 
 @pytest.mark.parametrize("name", ["A3", "B3", "H3", "D4", "I2(5)", "Atilde2", "7-3-inf"])
