@@ -78,11 +78,25 @@ class FreeAut:
         return "FreeAut(" + ("; ".join(parts) or "id") + ")"
 
 
-def aut_invert(f: FreeAut) -> FreeAut:
-    """Inverse via greedy Nielsen reduction of the image tuple.
+def _reduction_key(w: FreeWord) -> tuple:
+    """|w|, then the lesser and the greater of the left halves (the first
+    ceil(|w|/2) letters) of w and w^-1."""
+    h = (len(w) + 1) // 2
+    return (len(w), *sorted((w[:h], word_inv(w[len(w) - h:]))))
 
-    Length-reducing Nielsen moves on the images, mirrored on formal words,
-    terminate at a permuted inverted basis exactly when f is an automorphism.
+
+def aut_invert(f: FreeAut) -> FreeAut:
+    """Inverse via Nielsen reduction of the image tuple.
+
+    An image w_i and its formal twin move to w_i·v or v·w_i, v = w_j^±1,
+    when that lowers `_reduction_key(w_i)`: the product is shorter, or as
+    long with a lesser pair of left halves.  Either needs letters to cancel
+    where w_i and v meet, so the end letters of w_i and w_j (those of w_j^-1
+    read off w_j) pick the products to build, and a twin is built only for a
+    move made.  No move lengthens the tuple, and one that keeps its length
+    lowers a key, so the moves end, at a permuted inverted basis exactly when
+    f is an automorphism (Lyndon and Schupp, Combinatorial Group Theory,
+    ch. I, §2).
     """
     basis = f.basis
     words = [f.images[x] for x in basis]
@@ -93,17 +107,18 @@ def aut_invert(f: FreeAut) -> FreeAut:
         for i in range(len(words)):
             if not words[i]:
                 raise CoxeterError("table is not injective (image collapses)")
-            for j in range(len(words)):
-                if i == j:
-                    continue
-                for e in (1, -1):
-                    wj = words[j] if e == 1 else word_inv(words[j])
-                    fj = formal[j] if e == 1 else word_inv(formal[j])
-                    for cand, fcand in ((word_mul(words[i], wj), word_mul(formal[i], fj)),
-                                        (word_mul(wj, words[i]), word_mul(fj, formal[i]))):
-                        if len(cand) < len(words[i]):
-                            words[i], formal[i] = cand, fcand
-                            changed = True
+            for j, (v, y) in enumerate(zip(words, formal)):
+                # (s, k) is an end letter of v; (s, e·k) meets w in w·v^e or v^e·w
+                for e, left, (s, k) in ((1, 0, v[0]), (1, 1, v[-1]), (-1, 0, v[-1]),
+                                        (-1, 1, v[0])) if v and i != j else ():
+                    w = words[i]
+                    if w and (w[0] if left else w[-1]) == (s, -e * k):
+                        ve, fe = (v, y) if e == 1 else (word_inv(v), word_inv(y))
+                        cand = word_mul(ve, w) if left else word_mul(w, ve)
+                        if _reduction_key(cand) < _reduction_key(w):
+                            words[i], changed = cand, True
+                            formal[i] = word_mul(fe, formal[i]) if left else \
+                                word_mul(formal[i], fe)
     images: Dict[str, FreeWord] = {}
     for w, u in zip(words, formal):
         if len(w) != 1:

@@ -74,6 +74,10 @@ def test_aut_invert_rejects_non_automorphisms():
     assert not is_automorphism(FreeAut(basis, {"x": parse_free_word("x x")}))
     with pytest.raises(CoxeterError):
         aut_invert(FreeAut(basis, {"x": letter("y"), "y": letter("y")}))
+    # abelianized determinant 2; x -> 1 on the abelianization; an empty image
+    for image in ("x y x", "x y x^-1 y^-1", ""):
+        with pytest.raises(CoxeterError):
+            aut_invert(FreeAut(basis, {"x": parse_free_word(image)}))
 
 
 def test_aut_invert_random_automorphisms():
@@ -89,6 +93,37 @@ def test_aut_invert_random_automorphisms():
             f = f * rng.choice(nielsen)
         g = aut_invert(f)
         assert (f * g).is_identity()
+
+
+def test_aut_invert_random_automorphisms_of_rank_6():
+    rng = random.Random(29)
+    basis = [f"x{i}" for i in range(1, 7)]
+    for _ in range(200):
+        f = FreeAut.identity(basis)
+        for _ in range(rng.randrange(1, 13)):
+            x, y = rng.sample(basis, 2)
+            move = rng.randrange(4)
+            if move == 0:
+                images = {x: letter(x) + letter(y, rng.choice((1, -1)))}
+            elif move == 1:
+                images = {x: letter(y, rng.choice((1, -1))) + letter(x)}
+            elif move == 2:
+                images = {x: letter(y), y: letter(x)}
+            else:
+                images = {x: letter(x, -1)}
+            f = f * FreeAut(basis, images)
+        g = aut_invert(f)
+        assert (f * g).is_identity() and (g * f).is_identity(), f
+
+
+def test_aut_invert_past_a_length_plateau():
+    # no image is shortened by another's power +-1, yet
+    # (y y z^-1)(z x)(y x)^-1 = y: each neighbour cancels half of z x
+    f = FreeAut(["x", "y", "z"], {"x": parse_free_word("y y z^-1"),
+                                  "y": parse_free_word("y x"),
+                                  "z": parse_free_word("z x")})
+    g = aut_invert(f)
+    assert (f * g).is_identity() and (g * f).is_identity()
 
 
 def test_free_aut_rejects_unknown_symbols():
