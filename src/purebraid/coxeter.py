@@ -32,8 +32,13 @@ with its least witness read off the root below it; only the walk of W^I for
 I nonempty reads them off the frames w(a_j) of its elements.  N reads the
 reflection of a letter s after a prefix x as the palindrome x s x^-1, one
 peel each (`CoxeterSystem._palindromes`).  (N, p): B_W -> ZT x| W is folded
-over roots and coset vectors alone (`CoxeterSystem._fold_Np`) to compare
-images in `nmap` and `schreier`: the vector at I = () determines w.
+over reflection ids and coset vectors alone (`CoxeterSystem._fold_Np`) to
+compare images in `nmap` and `schreier`: the vector at I = () determines w.
+A positive root gets an integer id the first time it is met, and a table
+keeps the simple reflections acting on the ids, filled one `_act` per (root,
+s) pair ever met, so a truncated infinite type needs no list of its roots;
+w(a_s) is then len(w) lookups (`_root_id`), and the fold sums coefficients
+keyed by id.
 
 Finiteness is decided exactly from the Coxeter graph by the classification
 of the finite Coxeter groups (Coxeter 1935; Humphreys, Reflection Groups and
@@ -373,6 +378,8 @@ class CoxeterSystem:
             raise CoxeterError(f"labels {list(self.labels)} are not distinct")
         self.name = name
         self._cartan = self._simple_frame = self._identity_vector = None
+        self._ids = None  # the reflection ids of `_id_table`
+        self._identity_walk = None  # the vector `_fold_Np` gives an empty W-part
 
     def m(self, s: int, t: int) -> Optional[int]:
         return self.matrix[s][t]
@@ -554,22 +561,65 @@ class CoxeterSystem:
             r = rs
             yield sign, CoxElem(self, t)
 
+    def _id_table(self) -> tuple:
+        """({positive root: id}, [the root of each id], reflected): the
+        simple root a_s has the id s, and every other positive root gets the
+        next id the first time it is met.  reflected[rank i + t] is the id
+        of the positive one of +-s_t(root i), None until `_reflected_id`
+        first reads it; made once per system."""
+        if self._ids is None:
+            frame = self._frame()
+            self._ids = ({root: s for s, root in enumerate(frame)}, list(frame),
+                         [None] * self.rank ** 2)
+        return self._ids
+
+    def _reflected_id(self, i: int, t: int) -> int:
+        """The id of the positive one of +-s_t(root i), by one `_act` the
+        first time the pair (i, t) is met; s_t being an involution, the pair
+        (that id, t) is filled in too."""
+        ids, roots, reflected = self._id_table()
+        root = self._positive(self._act((t,), roots[i]))
+        j = ids.setdefault(root, len(roots))
+        if j == len(roots):
+            roots.append(root)
+            reflected += [None] * self.rank
+        reflected[self.rank * i + t] = j
+        reflected[self.rank * j + t] = i
+        return j
+
+    def _root_id(self, word: Sequence[int], s: int) -> int:
+        """The id of the positive one of +-w(a_s), w spelled by `word`: one
+        lookup in the table per letter, the last letter first."""
+        rank, reflected = self.rank, (self._ids or self._id_table())[2]
+        for t in reversed(word):
+            j = reflected[rank * s + t]
+            s = self._reflected_id(s, t) if j is None else j
+        return s
+
     def _fold_Np(self, images: Iterable[tuple]) -> tuple:
-        """(N, p) of a product of images ({positive root: coefficient}, a
-        word of the W-part) in ZT x| W, a reflection being read as its
-        positive root: from (0, 1), (x, w)(y, v) = (x + w.y, w v), w acting
-        on the roots of y through the letters of its word.  Returns
-        ({positive root: nonzero coefficient}, the coset vector of the
-        W-part, one walk of its word): equal for two products iff they are,
-        the vector at I = () determining its element (module docstring)."""
+        """(N, p) of a product of images (pairs (root id, coefficient), a
+        word of the W-part) in ZT x| W, a reflection being read as the id
+        of its positive root (`_id_table`): from (0, 1), (x, w)(y, v) =
+        (x + w.y, w v), w acting on the ids of y by `_root_id`, and only
+        once the W-part is nonempty.  Returns ({root id: nonzero
+        coefficient}, the coset vector of the W-part): equal for two
+        products iff they are, the vector at I = () determining its element
+        (module docstring).  The vector is one walk of the W-part's word; an
+        empty W-part is not walked but gets `_vector(())`, one list made
+        once per system, which the caller must not change."""
         x, word = {}, []
         for roots, v in images:
-            for root, c in roots.items():
+            for i, c in roots:
                 if word:
-                    root = self._positive(self._act(word, root))
-                x[root] = x.get(root, 0) + c
+                    i = self._root_id(word, i)
+                x[i] = x.get(i, 0) + c
             word += v
-        return {root: c for root, c in x.items() if c}, self._vector(word)
+        x = {i: c for i, c in x.items() if c}
+        if word:
+            return x, self._vector(word)
+        if self._identity_walk is None:
+            self._identity_walk = self._vector(())
+        return x, self._identity_walk
 
     # -- element enumeration ---------------------------------------------
 
@@ -755,7 +805,7 @@ class CoxElem:
     def __init__(self, system: CoxeterSystem, word: tuple):
         self.system = system
         self.word = tuple(word)
-        self._hash = hash((system.matrix, self.word))
+        self._hash = None  # made on first use: most elements are never hashed
 
     def __len__(self):
         return len(self.word)
@@ -765,6 +815,8 @@ class CoxElem:
                 and self.system == other.system)
 
     def __hash__(self):
+        if self._hash is None:
+            self._hash = hash((self.system.matrix, self.word))
         return self._hash
 
     def __lt__(self, other):

@@ -6,7 +6,7 @@ the derived subgroup of the pure braid group, which gives a decidable equality
 of braid words modulo D(P_W).  `eval_N`, `nbar` and `cocycle` read each
 letter's reflection as its prefix palindrome, as N is defined, and whether
 the letter is a right descent of its prefix (`CoxeterSystem._palindromes`);
-`equal_mod_derived` compares (N, p) folded over positive roots by
+`equal_mod_derived` compares (N, p) folded over reflection ids by
 `CoxeterSystem._fold_Np`, as `schreier.soundness_report` does.  The mod-2
 reduction of N on W is the inversion set; admissibility of a reflection
 subset is decided by inversion-set peeling rather than by root-coordinate
@@ -131,9 +131,9 @@ class SemidirectElem:
 
 
 def _letter_images(b: BraidWord):
-    """The images ({a_s: e}, s) of the letters s^e of b, for `_fold_Np`."""
-    simple = b.system._frame()
-    return (({simple[s]: e}, (s,)) for s, e in b.letters)
+    """The images (((s, e),), (s,)) of the letters s^e of b, for
+    `_fold_Np`: s is the id of the simple root a_s."""
+    return ((((s, e),), (s,)) for s, e in b.letters)
 
 
 def eval_N(b: BraidWord) -> ZTVector:

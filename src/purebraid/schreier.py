@@ -8,9 +8,12 @@ representative is b0 w with w in W_{s,t} and neither s nor t a right descent
 of b0, so the braid relation of s, t is rewritten at the instances
 (b0, s, t, i) of one square (b0, s < t).  The closed forms of the relation
 families (1) and (2) give all of them as slices of at most two climbs from
-b0, of (s t s ...) and of (t s t ...) (`_relation_instances`).
-`presentation_DI` keeps these closed forms, and `crosscheck_closed_vs_raw`
-compares each with the raw rewriting at the instance's representative.
+b0, of (s t s ...) and of (t s t ...): `_relation_instances` does the
+bookkeeping of a square once and hands over the relations of each climb
+together.  `presentation_DI` keeps these closed forms, and
+`crosscheck_closed_vs_raw` compares each with the raw rewriting at the
+instance's representative, which reads the letters of the two sides of the
+braid relation straight off the transitions (`rewrite_braid_relation`).
 
 The transversal is one walk of the I-reduced elements, which records each
 transition rep.s as it takes the coset step: the module makes no product of
@@ -28,7 +31,9 @@ their order run on its codes.  A `Presentation` keeps its relations as codes
 over its own generators: the certificate, the abelianization, the splitting
 and the writers read them through lists and memos made once per generator or
 distinct letter, and words of symbols are spelled only when `relations` is
-read.
+read.  The certificate reads the reflection of a pure generator a_{b,s} as
+the integer id of its positive root b(a_s), len(b) lookups in a table of
+the simple reflections acting on the ids (`CoxeterSystem._root_id`).
 """
 
 from __future__ import annotations
@@ -295,24 +300,43 @@ def _a_super(table: CosetTable, b0: int, s: int, t: int, n: int) -> Codes:
 def rewrite_braid_relation(table: CosetTable, rep: int, s: int,
                            t: int) -> Optional[Tuple[Codes, Codes]]:
     """Raw Schreier rewriting of rep (sts..)_m = rep (tst..)_m, read from
-    rep, over the letter codes of `table`; the word of rep, all UP steps
-    read forwards, would emit no letter."""
+    rep, over the letter codes of `table`: the letters of each side are
+    read straight off the transitions.  Every letter is read forwards, so
+    an UP step emits nothing, a DOWN step its a_{b,s} and a CONJ step its
+    lift, each a positive letter: the sides are positive words, so freely
+    reduced.  The word of rep, all UP steps read forwards, would emit no
+    letter."""
     m = table.system.m(s, t)
     if m is None:
         raise CoxeterError("the bond order m(s,t) must be finite")
-    sides = [table._rewrite_codes(rep, [(x, 1) for x in _alt(a, b, m)])
-             for a, b in ((s, t), (t, s))]
-    (lhs, lrep), (rhs, rrep) = sides
-    assert lrep == rrep
-    return _ordered(_free_reduce_codes(lhs), _free_reduce_codes(rhs))
+    rank, transitions, sides, ends = table.rank, table.transitions, [], []
+    for x in ((s, t), (t, s)):
+        k, out = rep, []
+        for n in range(m):
+            kind, j, c = transitions[k * rank + x[n & 1]]
+            if kind == CONJ:
+                out.append(c)
+                continue
+            if j is None:
+                raise table._past_walk(k, x[n & 1])
+            if kind == DOWN:
+                out.append(c)
+            k = j
+        sides.append(tuple(out))
+        ends.append(k)
+    assert ends[0] == ends[1]
+    return _ordered(*sides)
 
 
 def _relation_instances(table: CosetTable, levels):
     """The closed forms of the braid relations rewritten at the
-    representatives of `table`, one square (b0, s < t) at a time:
-    (b0, x, y, i, relation) for the instance stated at the representative
-    b0 (x y x ...)_i, over the letter codes of `table`, relation None when
-    its two sides agree.  Both sides are positive words, so freely reduced.
+    representatives of `table`, one square (b0, s < t) at a time, over the
+    letter codes of `table`.  For each climb (x y x ...) from b0 that states
+    instances, the square gives (b0, x, y, first, relations): relations[k]
+    is the instance stated at the representative b0 (x y x ...)_i,
+    i = first + k, None when its two sides agree, else its two sides with
+    the lesser first.  Both sides are positive words, so freely reduced,
+    and of one length.
 
     A square is a walked b0 and s < t with m = m(s, t) finite and neither
     b0 s nor b0 t a DOWN step; each representative b0 w, w in W_{s,t}, that
@@ -326,10 +350,14 @@ def _relation_instances(table: CosetTable, levels):
       - family (2), b0 x an UP step and b0 y = y' b0: the climb a of
         (x y x ...)_{m-1} gives y' a[:i] = a[m-1-i:] y' at b0 (x y x ...)_i
         for i = 1..m-1.
-    levels(b0, m, n) is the highest level kept at a square of b0 whose
-    closed form climbs n letters (m, m - 1, or 0 for two CONJ steps), or
-    less than 0 for none.  The climbs are made once per square, and only
-    when a level i >= 1 is kept.
+    The instance i = 0 comes first on the climb of (s t s ...), and family
+    (1) states those of i >= 1 on both climbs.  The two sides of an
+    instance of level i >= 1 never agree: A and B share no letter, since the
+    dihedral elements below the top have one reduced word each, and a lift
+    y' is no UP step.  levels(b0, m, n) is the highest level kept at a
+    square of b0 whose closed form climbs n letters (m, m - 1, or 0 for two
+    CONJ steps), or less than 0 for none.  The climbs are made once per
+    square, and only when a level i >= 1 is kept.
     """
     matrix, rank, transitions = table.system.matrix, table.rank, table.transitions
     for b0 in range(len(table.reps)):
@@ -344,25 +372,32 @@ def _relation_instances(table: CosetTable, levels):
                     continue
                 if s_kind == t_kind == CONJ:
                     if levels(b0, m, 0) >= 0:
-                        yield b0, s, t, 0, _ordered(_alt(sc, tc, m), _alt(tc, sc, m))
+                        yield b0, s, t, 0, [_ordered(_alt(sc, tc, m), _alt(tc, sc, m))]
                     continue
                 n = levels(b0, m, m if s_kind == t_kind else m - 1)
                 if n < 0:
                     continue
-                yield b0, s, t, 0, None
-                if s_kind == t_kind:
-                    if n:
-                        A, B = _a_super(table, b0, s, t, m), _a_super(table, b0, t, s, m)
+                up = [None]  # the instances on (s t s ...), or on (x y x ...)
+                if not n:
+                    yield b0, s, t, 0, up
+                elif s_kind == t_kind:
+                    A, B = _a_super(table, b0, s, t, m), _a_super(table, b0, t, s, m)
+                    down = []  # on (t s t ...), from i = 1
                     for i in range(1, n + 1):
-                        yield b0, t, s, i, _ordered(A[:i], B[m - i:])
+                        u, v = A[:i], B[m - i:]
+                        down.append((u, v) if u < v else (v, u))
                         if i < m:
-                            yield b0, s, t, i, _ordered(B[:i], A[m - i:])
-                    continue
-                x, y, c = (s, t, tc) if s_kind == UP else (t, s, sc)
-                if n:
+                            u, v = B[:i], A[m - i:]
+                            up.append((u, v) if u < v else (v, u))
+                    yield b0, s, t, 0, up
+                    yield b0, t, s, 1, down
+                else:
+                    x, y, c = (s, t, tc) if s_kind == UP else (t, s, sc)
                     a = _a_super(table, b0, x, y, m - 1)
-                for i in range(1, n + 1):
-                    yield b0, x, y, i, _ordered((c,) + a[:i], a[m - 1 - i:] + (c,))
+                    for i in range(1, n + 1):
+                        u, v = (c,) + a[:i], a[m - 1 - i:] + (c,)
+                        up.append((u, v) if u < v else (v, u))
+                    yield b0, x, y, 0, up
 
 
 # ---------------------------------------------------------------------------
@@ -596,9 +631,11 @@ def presentation_DI(system: CoxeterSystem, I, max_length: Optional[int] = None,
     # word_key order is (len(u), u, len(v), v): by the lengths, then as
     # pairs.  The relations are kept in the order they are made, which is
     # close to that order already and walks memory in order.
+    relations = dict.fromkeys(chain.from_iterable(
+        square[4] for square in _relation_instances(table, levels)))
+    relations.pop(None, None)  # the instances whose two sides agree
     by_lengths = {}
-    for rel in dict.fromkeys(rel for *_, rel in _relation_instances(table, levels)
-                             if rel is not None):
+    for rel in relations:
         by_lengths.setdefault((len(rel[0]), len(rel[1])), []).append(rel)
     codes = []
     for lengths in sorted(by_lengths):
@@ -634,12 +671,13 @@ def crosscheck_closed_vs_raw(system: CoxeterSystem, I,
 
     checked = 0
     failures = []
-    for b0, x, y, i, rel in _relation_instances(table, levels):
-        rep = table.climb(b0, _alt(x, y, i))
-        checked += 1
-        if rewrite_braid_relation(table, rep, x, y) != rel:
-            failures.append((str(table.reps[rep]), system.labels[min(x, y)],
-                             system.labels[max(x, y)]))
+    for b0, x, y, first, relations in _relation_instances(table, levels):
+        for i, rel in enumerate(relations, first):
+            rep = table.climb(b0, _alt(x, y, i))
+            checked += 1
+            if rewrite_braid_relation(table, rep, x, y) != rel:
+                failures.append((str(table.reps[rep]), system.labels[min(x, y)],
+                                 system.labels[max(x, y)]))
     return {"checked": checked, "failures": failures, "passed": not failures}
 
 
@@ -652,28 +690,28 @@ def soundness_report(p: Presentation) -> dict:
     ({+-b(a_s): 2e}, 1), since N(b s^2 b^-1) = N(b) + b N(s^2) + b N(b^-1) =
     2 [b(a_s)] by s^2 = 1 in W and N(b) + b N(b^-1) = N(1) = 0.  As (N, p)
     is a homomorphism, this is the fold of the relator expanded into braid
-    letters, without expanding it.  b(a_s) is column s of the frame of b
-    (`CoxeterSystem._frames`).  The root of each generator that occurs, and
-    the image of each letter code, are made once.
+    letters, without expanding it.  A root is read as its reflection id: a_s
+    has the id s, and b(a_s) the id `CoxeterSystem._root_id` reads off the
+    letters of b, one lookup each.  One image is made per letter code, and a
+    relator with no Coxeter letter (every relator of `presentation_pure`)
+    only sums coefficients.
 
     The kernel of (N, p) is the derived subgroup D(P_W), so a pass shows
     that each relation holds in B_W / D(P_W), not that it holds in B_W; the
     result says so under "certificate".
     """
-    system, gens = p.system, p.generators
-    pure = [x for x in {c >> 1 for c in p._letters()} if gens[x][0] == "a"]
-    simple, frames = system._frame(), system._frames(gens[x][1] for x in pure)
-    root = {x: system._positive(frames[gens[x][1]][gens[x][2]]) for x in pure}
-
-    def image(c: int) -> tuple:
-        sym, e = gens[c >> 1], -1 if c & 1 else 1
+    system, images = p.system, []
+    for sym in p.generators:
         if sym[0] == "s":
-            return {simple[sym[1]]: e}, (sym[1],)
-        return {root[c >> 1]: 2 * e}, ()
-
-    image, unit, names = _Memo(image).__getitem__, ({}, system._vector(())), _Names(p)
+            images += (((sym[1], 1),), sym[1:]), (((sym[1], -1),), sym[1:])
+        else:
+            i = system._root_id(sym[1], sym[2])
+            images += (((i, 2),), ()), (((i, -2),), ())
+    inverse = [images[c ^ 1] for c in range(len(images))]
+    fold, unit, names = system._fold_Np, ({}, system._vector(())), _Names(p)
     failures = [(names.word(u), names.word(v)) for u, v in p.codes
-                if system._fold_Np(map(image, u + tuple(c ^ 1 for c in reversed(v)))) != unit]
+                if fold(chain(map(images.__getitem__, u),
+                              map(inverse.__getitem__, reversed(v)))) != unit]
     return {"checked": len(p.codes), "failures": failures,
             "passed": not failures, "certificate": "mod D(P_W)"}
 
@@ -805,7 +843,7 @@ def _invariant_factors(rows: List[dict]) -> List[int]:
         pivot_row = rows[r]
         p = pivot_row[c]
         for i in cols[c] - {r}:
-            row = rows[i]
+            row, units = rows[i], []
             q = row[c] // p
             for j, x in pivot_row.items():
                 y = row.get(j, 0) - q * x
@@ -813,11 +851,15 @@ def _invariant_factors(rows: List[dict]) -> List[int]:
                     if j not in row:
                         cols[j].add(i)
                     row[j] = y
+                    if y == 1 or y == -1:
+                        units.append(j)
                 else:
                     del row[j]
                     cols[j].discard(i)
             if row:
-                push_units(i)
+                # only the columns of the pivot row changed
+                for j in units:
+                    heapq.heappush(heap, (cost(i, j), i, j))
             else:
                 del rows[i]
         last = r, c

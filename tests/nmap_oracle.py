@@ -2,15 +2,15 @@
 
 The package reads the reflection of each letter off its prefix palindrome
 (`CoxeterSystem._palindromes`).  This oracle takes the other route: it
-turns each letter into a positive root, the fold's roots
-(`CoxeterSystem._fold_Np`) for N and the roots x(a_s) of the prefixes x
-for nbar, lowers each root to its least witness (u, s) by simple
-reflections (`witness`), and takes the normal form of the witness
+turns each letter into a positive root, the roots of the fold's
+reflection ids (`CoxeterSystem._fold_Np`) for N and the roots x(a_s) of
+the prefixes x for nbar, lowers each root to its least witness (u, s) by
+simple reflections (`witness`), and takes the normal form of the witness
 palindrome u s u^-1 (`reflection`).  The cocycle is its definition
 N(v) + v.N(w) - N(lift of vw), three of those N's.  No prefix palindrome is
 read, so this checks `eval_N`, `nbar` and `cocycle` by another route.  The
-fold costs O(n^2 rank) over n letters: this is for words of a few hundred
-letters at most.
+fold costs O(n^2) lookups over n letters: this is for words of a few
+hundred letters at most.
 """
 
 from __future__ import annotations
@@ -57,10 +57,11 @@ def reflection(system: CoxeterSystem, root: tuple) -> CoxElem:
 
 
 def eval_N(b: BraidWord) -> ZTVector:
-    """N(b) from the fold's {positive root: coefficient}."""
+    """N(b) from the fold's {root id: coefficient}."""
     system = b.system
-    roots, _ = system._fold_Np(_letter_images(b))
-    return ZTVector(system, {reflection(system, root): c for root, c in roots.items()})
+    ids, _ = system._fold_Np(_letter_images(b))
+    roots = system._id_table()[1]
+    return ZTVector(system, {reflection(system, roots[i]): c for i, c in ids.items()})
 
 
 def eval_Np(b: BraidWord) -> SemidirectElem:

@@ -9,11 +9,12 @@ kernel then stays inside `CoxeterSystem`/`CoxElem`.
 
 Frames are stepped in one place, the frames of a set of words
 (`CoxeterSystem._frames`).  A word acts on a root (`_act`) and on the coset
-vector (the ring's `walk`) in `coxeter` alone too: in the one (N, p) fold
-`CoxeterSystem._fold_Np`, in `_root`, in the root poset of `_root_walk`,
-which raises a root by one simple reflection, in the prefix palindromes of
-`_palindromes`, and in the walks of the element kernel, so that no second
-(N, p) evaluator grows in `nmap` or `schreier`.  N, nbar and the cocycle
+vector (the ring's `walk`) in `coxeter` alone too: in `_reflected_id`, which
+fills the table of reflection ids that the one (N, p) fold
+`CoxeterSystem._fold_Np` reads, in `_root`, in the root poset of
+`_root_walk`, which raises a root by one simple reflection, in the prefix
+palindromes of `_palindromes`, and in the walks of the element kernel, so
+that no second (N, p) evaluator grows in `nmap` or `schreier`.  N, nbar and the cocycle
 each read prefix palindromes and nothing else, and the fold serves only the
 comparisons of images under (N, p).  No root is lowered back to its
 witness in the package: the root poset gives a raised root its witness
@@ -36,8 +37,8 @@ SHORTLEX_SCOPES = {
 REDUCED_WORDS_SCOPES = set()
 FRAME_STEP_SCOPES = {"coxeter.CoxeterSystem._frames"}
 ACT_AND_WALK_SCOPES = {
-    "coxeter.CoxeterSystem._fold_Np",
     "coxeter.CoxeterSystem._palindromes",
+    "coxeter.CoxeterSystem._reflected_id",
     "coxeter.CoxeterSystem._root",
     "coxeter.CoxeterSystem._root_walk",
     "coxeter.CoxeterSystem._vector",

@@ -475,6 +475,46 @@ def test_pure_generators_equal_their_braid_words(name):
         assert report["passed"] and report["checked"] == 2 * len(p.pure_generators())
 
 
+@pytest.mark.parametrize("name", ["A3", "B3", "H3", "D4", "I2(5)", "Atilde2"])
+def test_reflection_ids_agree_with_the_frames_on_every_pure_generator(name):
+    # _frames is the oracle: b(a_s) is column s of the frame of b, and the
+    # id of a_{b,s} names the positive one of +-b(a_s)
+    system = named_system(name)
+    cap = None if system.is_finite() else 4
+    gens = [g for I in ((), (0,), (0, 1))
+            for g in CosetTable(system, I, cap).generators()]
+    frames = system._frames(g[1] for g in gens)
+    roots = system._id_table()[1]
+    ids = {}
+    for _, b, s in gens:
+        i = system._root_id(b, s)
+        assert roots[i] == system._positive(frames[b][s]), (b, s)
+        ids.setdefault(roots[i], i)
+        assert ids[roots[i]] == i
+    assert len(roots) == len(set(roots))
+    assert roots[:system.rank] == list(system._frame())
+
+
+@pytest.mark.parametrize("name,roots", [("D4", 12), ("H3", 15)])
+def test_soundness_report_acts_at_most_once_per_root_and_letter(name, roots, monkeypatch):
+    # the id table reflects each positive root by each simple reflection at
+    # most once per system, whatever the number of letters: a report that
+    # acts on a root per letter would make thousands of calls
+    calls = []
+    act = CoxeterSystem._act
+    monkeypatch.setattr(CoxeterSystem, "_act",
+                        lambda self, *args: calls.append(args) or act(self, *args))
+    for I in ((), (0,), (0, 1)):
+        p = presentation_DI(named_system(name), I)
+        system = named_system(name)
+        calls.clear()
+        report = soundness_report(Presentation(system, p.I, p.generators, p.codes,
+                                               codes=True))
+        letters = sum(len(u) + len(v) for u, v in p.codes)
+        assert report["passed"] and letters > roots * system.rank, I
+        assert 0 < len(calls) <= roots * system.rank, I
+
+
 def _random_relations(p, rng, count):
     """Seeded pairs of words over the generators of p and the Coxeter lifts
     of S: random pairs, which nearly all fail, and a word against itself
@@ -500,11 +540,15 @@ def _random_relations(p, rng, count):
     return Presentation(p.system, p.I, letters, pairs)
 
 
-@pytest.mark.parametrize("name", ["A3", "B3", "H3", "I2(5)", "Atilde2"])
+@pytest.mark.parametrize("name", ["A3", "B3", "H3", "I2(5)", "Atilde2", "A4", "D4"])
 def test_soundness_agrees_with_the_expanded_images_on_random_pairs(name):
+    # the random pairs mix the Coxeter lifts of S with pure letters, also
+    # over presentations of D_I with two letters in I
     rng = random.Random(f"soundness-{name}")
     outcomes = set()
-    for p in _presentations_of(name):
+    system = named_system(name)
+    for p in _presentations_of(name) + [presentation_DI(system, (0, 1), max_length=(
+            None if system.is_finite() else 4))]:
         q = _random_relations(p, rng, 40)
         report = soundness_report(q)
         assert report == _expanded_report(q)
