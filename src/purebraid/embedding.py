@@ -120,7 +120,8 @@ class EmbeddingInstance:
                 state = 1 - state
                 piece = word_inv(v if state == 1 else u)
             out.extend(piece)
-        assert state == 0
+        if state != 0:
+            raise CoxeterError("membership rewriting ended off the coset of 1")
         result = free_reduce(out)
         if self.psi(result) != w:
             raise CoxeterError("membership round-trip failed")

@@ -15,7 +15,7 @@ free-word identity.
 from __future__ import annotations
 
 import random
-from collections import deque
+from collections import defaultdict, deque
 from typing import Dict, Optional, Sequence, Tuple
 
 from .braid import BraidWord, lift
@@ -50,6 +50,14 @@ class FreeAut:
                     raise CoxeterError(f"image of {x} uses unknown symbol {sym}")
 
     @classmethod
+    def _trusted(cls, basis: Tuple[str, ...], images: Dict[str, FreeWord]) -> "FreeAut":
+        """The FreeAut of `images`, freely reduced words over `basis` keyed
+        in basis order, taken as they are."""
+        out = cls.__new__(cls)
+        out.basis, out.images = basis, images
+        return out
+
+    @classmethod
     def identity(cls, basis: Sequence[str]) -> "FreeAut":
         return cls(basis, {})
 
@@ -60,7 +68,9 @@ class FreeAut:
         """Composition (self after other)."""
         if self.basis != other.basis:
             raise CoxeterError("automorphisms of different free groups")
-        return FreeAut(self.basis, {x: self.apply(w) for x, w in other.images.items()})
+        images = self.images
+        return FreeAut._trusted(self.basis, {x: substitute(images, w)
+                                             for x, w in other.images.items()})
 
     def __eq__(self, other):
         return (isinstance(other, FreeAut) and self.basis == other.basis
@@ -90,35 +100,74 @@ def aut_invert(f: FreeAut) -> FreeAut:
 
     An image w_i and its formal twin move to w_i·v or v·w_i, v = w_j^±1,
     when that lowers `_reduction_key(w_i)`: the product is shorter, or as
-    long with a lesser pair of left halves.  Either needs letters to cancel
-    where w_i and v meet, so the end letters of w_i and w_j (those of w_j^-1
-    read off w_j) pick the products to build, and a twin is built only for a
-    move made.  No move lengthens the tuple, and one that keeps its length
-    lowers a key, so the moves end, at a permuted inverted basis exactly when
-    f is an automorphism (Lyndon and Schupp, Combinatorial Group Theory,
-    ch. I, §2).
+    long with a lesser pair of left halves.  Either needs at least half of
+    v to cancel where w_i and v meet, so an index of the images by their
+    first and by their last letter gives the only j worth a look: v·w_i
+    needs w_j to end with w_i[0]^-1 or to start with w_i[0], and w_i·v to
+    start with w_i[-1]^-1 or to end with w_i[-1].  A pass reads four index
+    entries per image, not every pair; a candidate whose half does not
+    cancel is dropped by one slice comparison, a product is built only for
+    one that does, and a twin only for a move made, which re-files the one
+    image it changes.  No move lengthens the tuple, and one that keeps its
+    length lowers a key, so the moves end, at a permuted inverted basis
+    exactly when f is an automorphism (Lyndon and Schupp, Combinatorial
+    Group Theory, ch. I, §2).  The inverse is unique, so it does not depend
+    on the order of the moves.
     """
     basis = f.basis
     words = [f.images[x] for x in basis]
+    inverses = [word_inv(w) for w in words]
     formal = [letter(x) for x in basis]
+    starts: Dict[Tuple[str, int], set] = defaultdict(set)
+    ends: Dict[Tuple[str, int], set] = defaultdict(set)
+    for i, w in enumerate(words):
+        if not w:
+            raise CoxeterError("table is not injective (image collapses)")
+        starts[w[0]].add(i)
+        ends[w[-1]].add(i)
     changed = True
     while changed:
         changed = False
         for i in range(len(words)):
-            if not words[i]:
-                raise CoxeterError("table is not injective (image collapses)")
-            for j, (v, y) in enumerate(zip(words, formal)):
-                # (s, k) is an end letter of v; (s, e·k) meets w in w·v^e or v^e·w
-                for e, left, (s, k) in ((1, 0, v[0]), (1, 1, v[-1]), (-1, 0, v[-1]),
-                                        (-1, 1, v[0])) if v and i != j else ():
-                    w = words[i]
-                    if w and (w[0] if left else w[-1]) == (s, -e * k):
-                        ve, fe = (v, y) if e == 1 else (word_inv(v), word_inv(y))
+            w, key, moved = words[i], None, True
+            while moved:
+                moved = False
+                (s, k), (t, l) = w[0], w[-1]
+                # the move to v^e·w (left) or w·v^e, v = w_j for j in group
+                for left, e, group in ((1, 1, ends.get((s, -k), ())),
+                                       (1, -1, starts[s, k]),
+                                       (0, 1, starts.get((t, -l), ())),
+                                       (0, -1, ends[t, l])):
+                    for j in group:
+                        if j == i:
+                            continue
+                        ve, ve_inv = (words[j], inverses[j]) if e == 1 else \
+                            (inverses[j], words[j])
+                        # half of v^e cancels iff w starts (ends) as v^-e does
+                        h = (len(ve) + 1) // 2
+                        if (w[:h] != ve_inv[:h]) if left else (w[-h:] != ve_inv[-h:]):
+                            continue
                         cand = word_mul(ve, w) if left else word_mul(w, ve)
-                        if _reduction_key(cand) < _reduction_key(w):
-                            words[i], changed = cand, True
-                            formal[i] = word_mul(fe, formal[i]) if left else \
-                                word_mul(formal[i], fe)
+                        if not cand:
+                            raise CoxeterError("table is not injective (image collapses)")
+                        cand_key = _reduction_key(cand)
+                        if key is None:
+                            key = _reduction_key(w)
+                        if cand_key >= key:
+                            continue
+                        fe = formal[j] if e == 1 else word_inv(formal[j])
+                        formal[i] = word_mul(fe, formal[i]) if left else \
+                            word_mul(formal[i], fe)
+                        starts[w[0]].discard(i)
+                        ends[w[-1]].discard(i)
+                        w, key = cand, cand_key
+                        words[i], inverses[i] = w, word_inv(w)
+                        starts[w[0]].add(i)
+                        ends[w[-1]].add(i)
+                        moved = changed = True
+                        break
+                    if moved:
+                        break
     images: Dict[str, FreeWord] = {}
     for w, u in zip(words, formal):
         if len(w) != 1:
@@ -128,10 +177,11 @@ def aut_invert(f: FreeAut) -> FreeAut:
         images[sym] = u if e == 1 else word_inv(u)
     if set(images) != set(basis):
         raise CoxeterError("table is not an automorphism (images miss a symbol)")
-    g = FreeAut(basis, images)
-    if not (f * g).is_identity() or not (g * f).is_identity():
+    images = {x: images[x] for x in basis}
+    if any(substitute(f.images, images[x]) != letter(x) for x in basis) or \
+            any(substitute(images, f.images[x]) != letter(x) for x in basis):
         raise CoxeterError("inversion check failed")
-    return g
+    return FreeAut._trusted(basis, images)
 
 
 # ---------------------------------------------------------------------------

@@ -205,7 +205,8 @@ def in_image_of_N(x: ZTVector) -> Optional[BraidWord]:
         return None
     base = lift(w)
     remainder = x - eval_N(base)
-    assert remainder.all_even()
+    if not remainder.all_even():
+        raise CoxeterError("x - N(lift(w)) has an odd coefficient")
     pure = BraidWord(system)
     for t in sorted(remainder.coeffs):
         k = remainder.coeffs[t] // 2

@@ -207,8 +207,13 @@ class CosetTable:
             k = j
         return k
 
-    def _rewrite_codes(self, k: int, letters) -> Tuple[List[int], int]:
-        """`rewrite`, emitting letter codes."""
+    def rewrite_codes(self, k: int, letters) -> Tuple[List[int], int]:
+        """Schreier rewriting of the signed letters read from rep k: the
+        emitted word, in letter codes, over the generators of D_I (those of
+        I in order, then `generators()`) and the id reached.  A CONJ letter
+        emits t; an UP step read backwards, or a DOWN step read forwards,
+        emits a_{b,s} with b the shorter of its two ends.  Raises
+        CoxeterError when a letter leaves the walk."""
         rank, transitions, out = self.rank, self.transitions, []
         for s, e in letters:
             kind, j, c = transitions[k * rank + s]
@@ -221,16 +226,6 @@ class CosetTable:
                 out.append(c + (e == -1))
             k = j
         return out, k
-
-    def rewrite(self, k: int, letters) -> Tuple[List[Tuple[Symbol, int]], int]:
-        """Schreier rewriting of the signed letters read from rep k: the
-        emitted word over the generators of D_I and the id reached.  A CONJ
-        letter emits t; an UP step read backwards, or a DOWN step read
-        forwards, emits a_{b,s} with b the shorter of its two ends.  Raises
-        CoxeterError when a letter leaves the walk."""
-        codes, k = self._rewrite_codes(k, letters)
-        gens = [cox_symbol(t) for t in sorted(self.I)] + self.generators()
-        return [(gens[c >> 1], -1 if c & 1 else 1) for c in codes], k
 
     def generators(self) -> List[Symbol]:
         """The a_{b,s} with b walked and b s an UP step, in id order, which
@@ -324,7 +319,8 @@ def rewrite_braid_relation(table: CosetTable, rep: int, s: int,
             k = j
         sides.append(tuple(out))
         ends.append(k)
-    assert ends[0] == ends[1]
+    if ends[0] != ends[1]:
+        raise CoxeterError("the two sides of a braid relation end at different cosets")
     return _ordered(*sides)
 
 

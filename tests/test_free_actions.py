@@ -127,8 +127,25 @@ def test_aut_invert_past_a_length_plateau():
 
 
 def test_free_aut_rejects_unknown_symbols():
-    with pytest.raises(CoxeterError):
+    with pytest.raises(CoxeterError, match="unknown symbol q"):
         FreeAut(["x"], {"x": letter("q")})
+    with pytest.raises(CoxeterError, match="unknown symbol q"):
+        FreeAut(["x", "y"], {"y": parse_free_word("y q x")})
+
+
+def test_free_aut_products_match_the_validating_constructor():
+    # a product trusts the reduced images `substitute` gives it
+    rng = random.Random(71)
+    for kind, n in (("A", 4), ("B", 3), ("B_ab", 3), ("I2", 5), ("D", 4)):
+        model = action_model(kind, n)
+        for _ in range(10):
+            f, g = (composite_aut(model, [(rng.choice(model.acting), rng.choice((1, -1)))
+                                          for _ in range(rng.randrange(1, 5))])
+                    for _ in range(2))
+            product = f * g
+            rebuilt = FreeAut(model.basis, {x: f.apply(w) for x, w in g.images.items()})
+            assert product == rebuilt and repr(product) == repr(rebuilt)
+            assert list(product.images) == list(model.basis)
 
 
 # -- the models ------------------------------------------------------------

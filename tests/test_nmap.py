@@ -5,6 +5,7 @@ import pytest
 from paper_claims import monoid_monotonicity_check
 from purebraid.braid import BraidWord, lift
 from purebraid.coxeter import CoxElem, CoxeterError, is_reflection, named_system, reflections
+from purebraid import nmap
 from purebraid.nmap import (
     ZTVector,
     cocycle,
@@ -128,6 +129,15 @@ def test_in_image_of_N_roundtrip():
     t = system.normal_form((0, 1, 0))
     assert in_image_of_N(ZTVector(system, {t: 1})) is None
     assert in_image_of_N(ZTVector(system, {t: 2})) is not None
+
+
+def test_in_image_of_N_rejects_a_witness_off_the_odd_support(monkeypatch):
+    # a raise, not an assert, so python -O keeps it
+    system = named_system("A2")
+    monkeypatch.setattr(nmap, "is_admissible",
+                        lambda system, elems: system.identity)
+    with pytest.raises(CoxeterError, match="odd coefficient"):
+        in_image_of_N(ZTVector(system, {system.gen(0): 1}))
 
 
 def test_cocycle_values():

@@ -49,6 +49,7 @@ from purebraid.schreier import (
     CosetTable,
     Presentation,
     abelianization,
+    cox_symbol,
     crosscheck_closed_vs_raw,
     devissage,
     minimal_generating_set,
@@ -159,6 +160,14 @@ def test_presentation_generators_are_valid():
 # -- rewriting -----------------------------------------------------------
 
 
+def _rewrite(table, k, letters):
+    """`table.rewrite_codes` spelled over the generators of D_I: those of I
+    in order, then the table's a_{b,s}."""
+    codes, k = table.rewrite_codes(k, letters)
+    gens = [cox_symbol(t) for t in sorted(table.I)] + table.generators()
+    return [(gens[c >> 1], -1 if c & 1 else 1) for c in codes], k
+
+
 def test_schreier_rewrite_certificate():
     # b = word * lift(rep) in B_W, rep the representative its letters reach
     # in a walk as long as the longest word
@@ -171,7 +180,7 @@ def test_schreier_rewrite_certificate():
             k = rng.randrange(1, max_letters + 1)
             b = BraidWord(system, [(rng.randrange(system.rank), rng.choice((1, -1)))
                                    for _ in range(k)])
-            word, j = table.rewrite(0, b.letters)
+            word, j = _rewrite(table, 0, b.letters)
             rep = table.reps[j]
             recomposed = word_to_braid(system, word) * lift(rep)
             assert eval_Np(recomposed) == eval_Np(b)
@@ -218,7 +227,7 @@ def test_climb_and_rewrite_stop_at_the_end_of_the_walk():
     table = CosetTable(system, (), 2)
     assert table.climb(0, (0, 1)) == table.reps.index(system.normal_form((0, 1)))
     for run in (lambda: table.climb(0, (0, 1, 2)),
-                lambda: table.rewrite(0, [(0, 1), (1, -1), (2, 1)])):
+                lambda: _rewrite(table, 0, [(0, 1), (1, -1), (2, 1)])):
         with pytest.raises(CoxeterError, match="leaves the walk"):
             run()
     # a DOWN step never leaves the walk
